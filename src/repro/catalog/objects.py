@@ -8,7 +8,8 @@ probabilities live in NumPy arrays so placement algorithms can sort/scan
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,6 +85,17 @@ class ObjectCatalog:
         if np.any(probs < 0):
             raise ValueError("probabilities must be non-negative")
         self._probs = probs.copy()
+        self.__dict__.pop("probability_values", None)
+
+    # Per-object loops index these tuples instead of calling size_of /
+    # probability_of: the same values, with no NumPy scalar per access.
+    @cached_property
+    def size_values(self) -> Tuple[float, ...]:
+        return tuple(self._sizes.tolist())
+
+    @cached_property
+    def probability_values(self) -> Tuple[float, ...]:
+        return tuple(self._probs.tolist())
 
     # -- scalar access -------------------------------------------------------
     def size_of(self, object_id: int) -> float:

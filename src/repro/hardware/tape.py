@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .specs import TapeSpec
@@ -145,23 +147,24 @@ class Tape:
     # -- layout -----------------------------------------------------------
     def write_layout(self, extents: Iterable[ObjectExtent]) -> None:
         """Replace the layout with ``extents`` (validated, sorted by start)."""
-        extents = sorted(extents, key=lambda e: e.start_mb)
-        by_object: Dict[int, ObjectExtent] = {}
+        extents = sorted(extents, key=attrgetter("start_mb"))
+        by_object = {extent.object_id: extent for extent in extents}
+        if len(by_object) != len(extents):
+            twice = next(o for o, n in Counter(e.object_id for e in extents).items() if n > 1)
+            raise ValueError(f"object {twice} placed twice on {self.id}")
         prev_end = 0.0
+        limit = self.spec.capacity_mb + 1e-6
         for extent in extents:
-            if extent.object_id in by_object:
-                raise ValueError(f"object {extent.object_id} placed twice on {self.id}")
             if extent.start_mb < prev_end - 1e-9:
                 raise ValueError(
                     f"overlapping extents on {self.id} at {extent.start_mb} MB"
                 )
-            if extent.end_mb > self.spec.capacity_mb + 1e-6:
+            prev_end = extent.end_mb
+            if prev_end > limit:
                 raise ValueError(
-                    f"extent for object {extent.object_id} ends at {extent.end_mb} MB, "
+                    f"extent for object {extent.object_id} ends at {prev_end} MB, "
                     f"beyond tape capacity {self.spec.capacity_mb} MB"
                 )
-            by_object[extent.object_id] = extent
-            prev_end = extent.end_mb
         self._extents = extents
         self._by_object = by_object
 
@@ -200,21 +203,6 @@ class Tape:
             )
         self._extents.append(extent)
         self._by_object[extent.object_id] = extent
-        return extent
-
-    def remove_object(self, object_id: int) -> ObjectExtent:
-        """Remove an object's extent (rollback of an aborted repair write).
-
-        Only the *last* extent can be removed, keeping the layout a dense
-        append-only log — which is all the rollback path needs.
-        """
-        extent = self.extent_of(object_id)
-        if not self._extents or self._extents[-1] is not extent:
-            raise ValueError(
-                f"object {object_id} is not the last extent on {self.id}"
-            )
-        self._extents.pop()
-        del self._by_object[object_id]
         return extent
 
     # -- queries ----------------------------------------------------------

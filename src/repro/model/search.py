@@ -24,6 +24,7 @@ import numpy as np
 
 from ..hardware import ObjectExtent, SystemSpec, TapeId
 from ..placement.base import PlacementResult
+from ..placement.organ_pipe import sequential_extents
 from ..workload import Workload
 from .cost import CostModel
 
@@ -69,16 +70,7 @@ class _State:
         }
 
     def layouts(self) -> Dict[TapeId, List[ObjectExtent]]:
-        out: Dict[TapeId, List[ObjectExtent]] = {}
-        for tid, objs in self.order.items():
-            extents: List[ObjectExtent] = []
-            position = 0.0
-            for o in objs:
-                size = self.catalog.size_of(o)
-                extents.append(ObjectExtent(o, position, size))
-                position += size
-            out[tid] = extents
-        return out
+        return {tid: sequential_extents(objs, self.catalog) for tid, objs in self.order.items()}
 
     def can_move(self, object_id: int, target: TapeId) -> bool:
         if target == self.home[object_id]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 import numpy as np
@@ -20,11 +21,36 @@ from ..catalog import LocationIndex, ObjectCatalog
 from ..hardware import DriveId, ObjectExtent, SystemSpec, TapeId, TapeSystem
 from ..workload import Workload
 
-__all__ = ["PlacementError", "PlacementResult", "PlacementScheme"]
+__all__ = ["ExtentTable", "PlacementError", "PlacementResult", "PlacementScheme"]
 
 
 class PlacementError(Exception):
     """Raised when a workload cannot be placed (e.g. capacity exhausted)."""
+
+
+class ExtentTable:
+    """Every extent of a layout as columns, tape by tape and by start within
+    a tape: the validation checks run over these arrays, not per extent."""
+
+    def __init__(self, layouts: Mapping[TapeId, List[ObjectExtent]]) -> None:
+        self.tapes = list(layouts)
+        per_tape = [sorted(extents, key=attrgetter("start_mb")) for extents in layouts.values()]
+        self.extents = [extent for extents in per_tape for extent in extents]
+        counts = np.array([len(extents) for extents in per_tape], dtype=np.int64)
+        self.tape_index = np.repeat(np.arange(len(counts)), counts)
+
+    def column(self, name: str, dtype=np.int64) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), self.extents), dtype, len(self.extents))
+
+    def object_ids(self, num_objects: int) -> np.ndarray:
+        """The object-id column; raises for an id outside the catalog."""
+        ids = self.column("object_id")
+        outside = ids[(ids < 0) | (ids >= num_objects)]
+        if len(outside):
+            raise PlacementError(
+                f"object id {outside[0]} is outside the catalog (0..{num_objects - 1})"
+            )
+        return ids
 
 
 @dataclass
@@ -88,55 +114,61 @@ class PlacementResult:
         * initial mounts reference existing tapes/drives, one tape per drive;
         * pinned tapes are all initially mounted.
         """
-        fragments = self._check_geometry(spec)
-        self._check_objects(fragments, catalog, spec)
+        table = self._check_geometry(spec)
+        self._check_objects(table, catalog, spec)
         self._check_mounts(spec)
 
-    def _check_geometry(self, spec: SystemSpec) -> Dict[int, List]:
-        """Per-tape capacity/overlap checks; returns object -> extent entries."""
-        fragments: Dict[int, List] = {}
-        capacity = spec.library.tape.capacity_mb
-        for tape_id, extents in self.layouts.items():
+    def _check_geometry(self, spec: SystemSpec) -> ExtentTable:
+        """Per-tape capacity/overlap checks; returns the extents as columns."""
+        for tape_id in self.layouts:
             if not (0 <= tape_id.library < spec.num_libraries):
                 raise PlacementError(f"tape {tape_id} references unknown library")
             if not (0 <= tape_id.slot < spec.library.num_tapes):
                 raise PlacementError(f"tape {tape_id} references unknown slot")
-            prev_end = 0.0
-            for extent in sorted(extents, key=lambda e: e.start_mb):
-                if extent.start_mb < prev_end - 1e-9:
-                    raise PlacementError(f"overlapping extents on {tape_id}")
-                if extent.end_mb > capacity + 1e-6:
-                    raise PlacementError(f"tape {tape_id} overflows its capacity")
-                fragments.setdefault(extent.object_id, []).append((tape_id, extent))
-                prev_end = extent.end_mb
-        return fragments
+        table = ExtentTable(self.layouts)
+        start, end = table.column("start_mb", float), table.column("end_mb", float)
+        first = np.diff(table.tape_index, prepend=-1) != 0
+        overlap = start < np.where(first, 0.0, np.roll(end, 1)) - 1e-9
+        bad = np.flatnonzero(overlap | (end > spec.library.tape.capacity_mb + 1e-6))
+        if len(bad):
+            tape_id = table.tapes[table.tape_index[bad[0]]]
+            if overlap[bad[0]]:
+                raise PlacementError(f"overlapping extents on {tape_id}")
+            raise PlacementError(f"tape {tape_id} overflows its capacity")
+        return table
 
     def _check_objects(
-        self, fragments: Dict[int, List], catalog: ObjectCatalog, spec: SystemSpec
+        self, table: ExtentTable, catalog: ObjectCatalog, spec: SystemSpec
     ) -> None:
         """Exactly-once object accounting (the paper's non-redundant model)."""
-        for object_id, entries in fragments.items():
-            parts = entries[0][1].parts
-            if any(e.parts != parts for _, e in entries):
-                raise PlacementError(
-                    f"object {object_id}: inconsistent fragment counts"
-                )
-            if len(entries) != parts:
-                raise PlacementError(
-                    f"object {object_id}: {len(entries)} of {parts} fragments placed"
-                )
-            if sorted(e.part for _, e in entries) != list(range(parts)):
-                raise PlacementError(
-                    f"object {object_id}: duplicate or missing fragment parts"
-                )
-            total = sum(e.size_mb for _, e in entries)
-            if abs(total - catalog.size_of(object_id)) > 1e-6:
-                raise PlacementError(
-                    f"object {object_id} placed with total size {total}, "
-                    f"catalog says {catalog.size_of(object_id)}"
-                )
-        if len(fragments) != len(catalog):
-            missing = len(catalog) - len(fragments)
+        ids = table.object_ids(len(catalog))
+        order = np.argsort(ids, kind="stable")  # fragments grouped by object
+        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+        counts = np.diff(starts, append=len(ids))
+        owner = np.repeat(np.arange(len(starts)), counts)
+        placed, parts = ids[order][starts], table.column("parts")[order]
+        part, declared = table.column("part")[order], parts[starts]
+        rank = np.arange(len(ids)) - starts[owner]
+        for bad, message in (
+            (parts != declared[owner], "inconsistent fragment counts"),
+            ((counts != declared)[owner], "{0} of {1} fragments placed"),
+            (part[np.lexsort((part, owner))] != rank, "duplicate or missing fragment parts"),
+        ):
+            if bad.any():
+                i = owner[bad.argmax()]
+                message = message.format(counts[i], declared[i])
+                raise PlacementError(f"object {placed[i]}: {message}")
+        total = np.bincount(ids, table.column("size_mb", float), len(catalog))[placed]
+        expected = catalog.sizes_mb[placed]
+        bad = np.abs(total - expected) > 1e-6
+        if bad.any():
+            i = bad.argmax()
+            raise PlacementError(
+                f"object {placed[i]} placed with total size {total[i]}, "
+                f"catalog says {expected[i]}"
+            )
+        if len(placed) != len(catalog):
+            missing = len(catalog) - len(placed)
             raise PlacementError(f"{missing} objects were not placed")
 
     def _check_mounts(self, spec: SystemSpec) -> None:
@@ -187,7 +219,12 @@ class PlacementScheme(abc.ABC):
     # -- helpers shared by all schemes ---------------------------------------
     @staticmethod
     def total_priority(extents: List[ObjectExtent], catalog: ObjectCatalog) -> float:
-        return float(sum(catalog.probability_of(e.object_id) for e in extents))
+        """Σ P(O) over a tape's extents, each weighted by the share of its
+        object it holds: ``size_share / replicas``, exactly 1 when whole."""
+        prob, size = catalog.probability_values, catalog.size_values
+        return float(
+            sum([prob[e.object_id] * (e.size_mb / size[e.object_id]) / e.replicas for e in extents])
+        )
 
     @staticmethod
     def default_initial_mounts(

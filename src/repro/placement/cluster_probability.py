@@ -24,13 +24,15 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from ..hardware import ObjectExtent, SystemSpec, TapeId
+import numpy as np
+
+from ..hardware import SystemSpec, TapeId
 from ..workload import Workload
 from .base import PlacementError, PlacementResult, PlacementScheme
 from .clustering import cluster_objects
-from .organ_pipe import organ_pipe_order
+from .organ_pipe import clustered_organ_pipe_extents
 
 __all__ = ["ClusterProbabilityPlacement"]
 
@@ -63,8 +65,11 @@ class ClusterProbabilityPlacement(PlacementScheme):
             method=self.cluster_method,
         )
         # Hottest clusters first; they land on the earliest tapes, which are
-        # the ones kept mounted.
-        clusters = sorted(clustering, key=lambda c: (-c.probability, c.objects))
+        # the ones kept mounted.  Clusters are disjoint, so their member
+        # tuples compare by first (smallest) member.
+        first_member = clustering.members[clustering.bounds[:-1]]
+        visit = np.lexsort((first_member, -clustering.probabilities)).tolist()
+        sizes = clustering.sizes_mb.tolist()
 
         # Tape order: round-robin across libraries.
         tape_order = [
@@ -72,30 +77,35 @@ class ClusterProbabilityPlacement(PlacementScheme):
             for slot in range(spec.library.num_tapes)
             for lib in range(spec.num_libraries)
         ]
-        used = {tid: 0.0 for tid in tape_order}
-        tape_clusters: Dict[TapeId, List] = {tid: [] for tid in tape_order}
+        used = np.zeros(len(tape_order))
+        tape_clusters: List[List[int]] = [[] for _ in tape_order]
 
-        open_limit = 0  # first-fit scans only tapes opened so far (+1 new)
-        for cluster in clusters:
-            placed = False
-            for idx in range(min(open_limit + 1, len(tape_order))):
-                tid = tape_order[idx]
-                if used[tid] + cluster.size_mb <= fill_limit + 1e-9:
-                    tape_clusters[tid].append(cluster)
-                    used[tid] += cluster.size_mb
-                    open_limit = max(open_limit, idx + 1)
-                    placed = True
-                    break
-            if not placed:
+        # First fit over the tapes opened so far plus one new tape.
+        open_limit = 0
+        limit = fill_limit + 1e-9
+        for c in visit:
+            size = sizes[c]
+            fits = used[: open_limit + 1] + size <= limit
+            idx = int(fits.argmax())
+            if not fits[idx]:
                 raise PlacementError(
-                    f"cluster of {cluster.size_mb:.0f} MB fits on no tape "
+                    f"cluster of {size:.0f} MB fits on no tape "
                     f"(system capacity exhausted)"
                 )
+            tape_clusters[idx].append(c)
+            used[idx] += size
+            open_limit = max(open_limit, idx + 1)
 
+        members, bounds = clustering.members.tolist(), clustering.bounds.tolist()
+        probs = clustering.probabilities.tolist()
         layouts = {
-            tid: self._tape_layout(members, catalog)
-            for tid, members in tape_clusters.items()
-            if members
+            tid: clustered_organ_pipe_extents(
+                [members[bounds[c] : bounds[c + 1]] for c in clusters],
+                catalog,
+                [probs[c] for c in clusters],
+            )
+            for tid, clusters in zip(tape_order, tape_clusters)
+            if clusters
         }
         tape_priority = {
             tid: self.total_priority(extents, catalog) for tid, extents in layouts.items()
@@ -114,20 +124,3 @@ class ClusterProbabilityPlacement(PlacementScheme):
                 "num_multi_clusters": len(clustering.multi_object_clusters()),
             },
         )
-
-    @staticmethod
-    def _tape_layout(clusters: List, catalog) -> List[ObjectExtent]:
-        """Organ-pipe the clusters; keep each cluster's members contiguous."""
-        cluster_probs = [c.probability for c in clusters]
-        cluster_order = organ_pipe_order(cluster_probs)
-        extents: List[ObjectExtent] = []
-        position = 0.0
-        for ci in cluster_order:
-            members = list(clusters[ci].objects)
-            member_probs = [catalog.probability_of(o) for o in members]
-            for mi in organ_pipe_order(member_probs):
-                object_id = members[mi]
-                size = catalog.size_of(object_id)
-                extents.append(ObjectExtent(object_id, position, size))
-                position += size
-        return extents

@@ -18,11 +18,12 @@ constraint of Step 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..catalog import RequestSet
+from ..catalog import ObjectCatalog, RequestSet
 from ..workload import Workload
 
 __all__ = ["Cluster", "Clustering", "similarity_edges", "cluster_objects"]
@@ -81,47 +82,93 @@ class Cluster:
         return self.probability / self.size_mb if self.size_mb > 0 else 0.0
 
 
-class Clustering:
-    """The result of clustering: clusters plus a per-object label array."""
+def group_sums(values: np.ndarray, flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``values[flat[bounds[g]:bounds[g + 1]]].sum()`` for every group ``g``.
 
-    def __init__(self, clusters: List[Cluster], labels: np.ndarray) -> None:
-        self.clusters = clusters
-        self.labels = labels
+    Bit for bit the per-group NumPy sum: one-member groups (nearly all of
+    them at paper scale) take their value directly, and only the others
+    pay a ``sum`` call, in NumPy's own (pairwise) order.
+    """
+    sums = values[flat[bounds[:-1]]]
+    for g in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        sums[g] = values[flat[bounds[g] : bounds[g + 1]]].sum()
+    return sums
+
+
+def group_by_cluster(object_ids: Iterable[int], labels: Sequence[int]) -> List[List[int]]:
+    """Objects grouped by cluster label, groups in first-appearance order."""
+    groups: Dict[int, List[int]] = {}
+    for object_id in object_ids:
+        groups.setdefault(labels[object_id], []).append(object_id)
+    return list(groups.values())
+
+
+def group_sizes(groups: List[List[int]], catalog: ObjectCatalog) -> List[float]:
+    """``catalog.total_size_mb(group)`` for every group, bit for bit."""
+    flat = np.array([o for group in groups for o in group], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(group) for group in groups])
+    return group_sums(np.asarray(catalog.sizes_mb), flat, bounds).tolist()
+
+
+@dataclass(eq=False)
+class Clustering:
+    """The result of clustering, array-backed.
+
+    ``labels[o]`` is object ``o``'s cluster.  Cluster ``c``'s members are
+    ``members[bounds[c]:bounds[c + 1]]`` in increasing id order;
+    ``probabilities[c]`` and ``sizes_mb[c]`` are its Σ P(O) and total size.
+    """
+
+    labels: np.ndarray
+    members: np.ndarray
+    bounds: np.ndarray
+    probabilities: np.ndarray
+    sizes_mb: np.ndarray
 
     def cluster_of(self, object_id: int) -> int:
         """Index into :attr:`clusters` for ``object_id``."""
         return int(self.labels[object_id])
+
+    def _cluster(self, c: int) -> Cluster:
+        return Cluster(
+            objects=tuple(self.members[self.bounds[c] : self.bounds[c + 1]].tolist()),
+            probability=float(self.probabilities[c]),
+            size_mb=float(self.sizes_mb[c]),
+        )
+
+    @cached_property
+    def clusters(self) -> List[Cluster]:
+        return [self._cluster(c) for c in range(len(self))]
 
     @property
     def num_objects(self) -> int:
         return len(self.labels)
 
     def multi_object_clusters(self) -> List[Cluster]:
-        return [c for c in self.clusters if len(c) > 1]
+        return [self._cluster(c) for c in np.flatnonzero(np.diff(self.bounds) > 1).tolist()]
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return len(self.bounds) - 1
 
     def __iter__(self):
         return iter(self.clusters)
 
     def __repr__(self) -> str:
-        multi = self.multi_object_clusters()
-        biggest = max((len(c) for c in self.clusters), default=0)
+        counts = np.diff(self.bounds)
         return (
-            f"<Clustering {len(self.clusters)} clusters over {self.num_objects} objects "
-            f"({len(multi)} non-trivial, largest {biggest})>"
+            f"<Clustering {len(self)} clusters over {self.num_objects} objects "
+            f"({int((counts > 1).sum())} non-trivial, largest {counts.max(initial=0)})>"
         )
 
 
 class _UnionFind:
-    """Union-find tracking member count and total size per component."""
+    """Union-find (plain lists) tracking member count and total size per component."""
 
     def __init__(self, sizes_mb: np.ndarray) -> None:
         n = len(sizes_mb)
-        self.parent = np.arange(n, dtype=np.int64)
-        self.count = np.ones(n, dtype=np.int64)
-        self.size_mb = sizes_mb.astype(np.float64).copy()
+        self.parent = list(range(n))
+        self.count = [1] * n
+        self.size_mb = np.asarray(sizes_mb, dtype=np.float64).tolist()
 
     def find(self, x: int) -> int:
         root = x
@@ -148,6 +195,13 @@ class _UnionFind:
         self.count[ra] += self.count[rb]
         self.size_mb[ra] += self.size_mb[rb]
         return True
+
+    def roots(self) -> np.ndarray:
+        """Every element's root, by pointer jumping over the parent array."""
+        parent = np.asarray(self.parent, dtype=np.int64)
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
+        return parent
 
 
 def cluster_objects(
@@ -193,12 +247,10 @@ def cluster_objects(
     catalog = workload.catalog
     n = len(catalog)
 
-    shared: Optional[np.ndarray] = None
+    shared: Optional[List[bool]] = None
     if detach_shared and method == "requests":
-        counts = np.zeros(n, dtype=np.int64)
-        for request in workload.requests:
-            counts[list(request.object_ids)] += 1
-        shared = counts >= 2
+        ids = [o for request in workload.requests for o in request.object_ids]
+        shared = (np.bincount(ids, minlength=n) >= 2).tolist()
 
     uf = _UnionFind(np.asarray(catalog.sizes_mb))
     if method == "pairs":
@@ -230,20 +282,13 @@ def cluster_objects(
     else:
         raise ValueError(f"unknown clustering method {method!r}")
 
-    roots = np.array([uf.find(i) for i in range(n)], dtype=np.int64)
-    uniq_roots, labels = np.unique(roots, return_inverse=True)
-    members: List[List[int]] = [[] for _ in uniq_roots]
-    for obj, label in enumerate(labels):
-        members[label].append(obj)
-
-    probs = np.asarray(catalog.probabilities)
-    sizes = np.asarray(catalog.sizes_mb)
-    clusters = [
-        Cluster(
-            objects=tuple(objs),
-            probability=float(probs[objs].sum()),
-            size_mb=float(sizes[objs].sum()),
-        )
-        for objs in members
-    ]
-    return Clustering(clusters, labels)
+    _, labels = np.unique(uf.roots(), return_inverse=True)
+    members = np.argsort(labels, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels))))
+    return Clustering(
+        labels,
+        members,
+        bounds,
+        group_sums(np.asarray(catalog.probabilities), members, bounds),
+        group_sums(np.asarray(catalog.sizes_mb), members, bounds),
+    )

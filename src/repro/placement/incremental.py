@@ -34,10 +34,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..catalog import ObjectCatalog, Request, RequestSet
-from ..hardware import ObjectExtent, SystemSpec, TapeId
+from ..hardware import SystemSpec, TapeId
 from ..workload import Workload
-from .base import PlacementError, PlacementResult
+from .base import PlacementError, PlacementResult, PlacementScheme
 from .load_balance import TapeBin, zigzag_assign
+from .organ_pipe import sequential_extents
 from .parallel_batch import ParallelBatchPlacement
 
 __all__ = [
@@ -189,13 +190,14 @@ class IncrementalParallelBatch:
                 object_tape,
             )
 
+        # Append-only tapes keep arrival order (no re-alignment possible).
         layouts = {
-            tid: self._sequential_extents(objs, catalog)
+            tid: sequential_extents(objs, catalog)
             for tid, objs in tape_objects.items()
             if objs
         }
         priority = {
-            tid: float(sum(catalog.probability_of(e.object_id) for e in extents))
+            tid: PlacementScheme.total_priority(extents, catalog)
             for tid, extents in layouts.items()
         }
         initial_mounts = {
@@ -334,17 +336,6 @@ class IncrementalParallelBatch:
                     votes.setdefault(o, {}).setdefault(majority, 0)
                     votes[o][majority] += weight
         return votes
-
-    @staticmethod
-    def _sequential_extents(object_ids: List[int], catalog: ObjectCatalog) -> List[ObjectExtent]:
-        """Append-only tapes keep arrival order (no re-alignment possible)."""
-        extents: List[ObjectExtent] = []
-        position = 0.0
-        for o in object_ids:
-            size = catalog.size_of(o)
-            extents.append(ObjectExtent(o, position, size))
-            position += size
-        return extents
 
     def _all_batches(self, spec: SystemSpec) -> List[List[TapeId]]:
         return ParallelBatchPlacement(m=self.m, k=self.k)._batch_tapes(spec)

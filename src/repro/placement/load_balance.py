@@ -104,9 +104,10 @@ def zigzag_assign(
     window = sorted(bins, key=lambda b: b.workload)[:ndrv]
     window.sort(key=lambda b: -b.workload)
 
-    # "sort objects in C into increasing order based on load"
-    loads = {o: catalog.probability_of(o) * catalog.size_of(o) for o in object_ids}
-    ordered = sorted(object_ids, key=lambda o: (loads[o], o))
+    # "sort objects in C into increasing order based on load", ties by id.
+    sizes, probs = catalog.size_values, catalog.probability_values
+    loads = {o: probs[o] * sizes[o] for o in object_ids}
+    ordered = sorted(sorted(object_ids), key=loads.__getitem__)
 
     rejected: List[int] = []
     i, flag = 0, 0
@@ -122,18 +123,19 @@ def zigzag_assign(
             flag = 0
             i += 1
         target = window[i]
-        size = catalog.size_of(object_id)
+        size = sizes[object_id]
         if not target.fits(size):
             # Deviate minimally: roomiest tape in the window, widening to
             # the whole batch only if the window is full (Step 3 guarantees
-            # aggregate batch capacity, not per-tape capacity).
-            candidates = [b for b in window if b.fits(size)]
-            if not candidates:
-                candidates = [b for b in bins if b.fits(size)]
-            if not candidates:
+            # aggregate batch capacity, not per-tape capacity).  If the
+            # roomiest tape of a pool cannot fit the object, none can.
+            for pool in (window, bins):
+                target = max(pool, key=lambda b: b.free_mb)
+                if target.fits(size):
+                    break
+            else:
                 rejected.append(object_id)
                 continue
-            target = max(candidates, key=lambda b: b.free_mb)
         target.add(object_id, size, loads[object_id])
     return rejected
 
@@ -149,11 +151,12 @@ def round_robin_assign(
         return []
     if not bins:
         raise PlacementError("round_robin_assign needs at least one tape bin")
+    sizes, probs = catalog.size_values, catalog.probability_values
     rejected: List[int] = []
     position = 0
     for object_id in object_ids:
-        size = catalog.size_of(object_id)
-        load = catalog.probability_of(object_id) * size
+        size = sizes[object_id]
+        load = probs[object_id] * size
         for attempt in range(len(bins)):
             target = bins[(position + attempt) % len(bins)]
             if target.fits(size):

@@ -22,7 +22,7 @@ exactly the behaviour Figure 9 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -56,9 +56,7 @@ class ObjectProbabilityPlacement(PlacementScheme):
         # Rank by decreasing probability, object id breaking ties.
         rank_order = np.lexsort((np.arange(len(catalog)), -probs))
 
-        num_groups = t // d
-        if t % d:
-            num_groups += 0  # leftover slots (< d per library) are unused
+        num_groups = t // d  # leftover slots (< d per library) are unused
         if num_groups == 0:
             raise PlacementError(f"libraries with {t} tapes cannot form a group of {d}")
 
@@ -68,50 +66,52 @@ class ObjectProbabilityPlacement(PlacementScheme):
             [TapeId(lib, g * d + j) for j in range(d) for lib in range(n)]
             for g in range(num_groups)
         ]
+        # Per tape (group-major): fill level and assigned objects.
+        tapes = [tid for group in groups for tid in group]
+        used = [0.0] * len(tapes)
+        assigned: List[List[int]] = [[] for _ in tapes]
+        width, limit = n * d, fill_limit + 1e-9
 
-        assignment: Dict[TapeId, List[int]] = {tid: [] for grp in groups for tid in grp}
-        used: Dict[TapeId, float] = {tid: 0.0 for grp in groups for tid in grp}
-
-        def try_group(group: List[TapeId], start: int, object_id: int, size: float) -> int:
+        def try_group(g: int, start: int, object_id: int, size: float) -> int:
             """Round-robin placement within one group; -1 if nothing fits."""
-            for attempt in range(len(group)):
-                tid = group[(start + attempt) % len(group)]
-                if used[tid] + size <= fill_limit + 1e-9:
-                    assignment[tid].append(object_id)
-                    used[tid] += size
-                    return (start + attempt + 1) % len(group)
+            for attempt in range(width):
+                j = g * width + (start + attempt) % width
+                if used[j] + size <= limit:
+                    assigned[j].append(object_id)
+                    used[j] += size
+                    return (start + attempt + 1) % width
             return -1
 
+        sizes = catalog.size_values
         group_idx = 0
         cursor = 0  # round-robin pointer within the current group
-        for object_id in rank_order:
-            object_id = int(object_id)
-            size = catalog.size_of(object_id)
-            nxt = try_group(groups[group_idx], cursor, object_id, size)
+        for object_id in rank_order.tolist():
+            size = sizes[object_id]
+            nxt = try_group(group_idx, cursor, object_id, size)
             if nxt >= 0:
                 cursor = nxt
                 continue
             if group_idx + 1 < len(groups):
                 group_idx += 1
-                cursor = try_group(groups[group_idx], 0, object_id, size)
+                cursor = try_group(group_idx, 0, object_id, size)
                 if cursor >= 0:
                     continue
             # Large object vs fragmented tail: scavenge earlier groups
             # (their stranded slack) nearest-rank-first.
             for g in range(group_idx, -1, -1):
-                if try_group(groups[g], 0, object_id, size) >= 0:
+                if try_group(g, 0, object_id, size) >= 0:
                     break
             else:
                 raise PlacementError(
                     f"object {object_id} ({size:.0f} MB) fits on no tape; "
-                    f"capacity exhausted after {sum(len(v) for v in assignment.values())} "
+                    f"capacity exhausted after {sum(map(len, assigned))} "
                     f"of {len(catalog)} objects"
                 )
             cursor = 0
 
         layouts = {
             tid: organ_pipe_extents(objects, catalog)
-            for tid, objects in assignment.items()
+            for tid, objects in zip(tapes, assigned)
             if objects
         }
         tape_priority = {

@@ -27,13 +27,12 @@ ingredient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
+from typing import Dict, List, Optional
 
 from ..hardware import DriveId, SystemSpec, TapeId
 from ..workload import Workload
 from .base import PlacementError, PlacementResult, PlacementScheme
-from .clustering import Clustering, cluster_objects
+from .clustering import cluster_objects, group_by_cluster, group_sizes
 from .load_balance import TapeBin, choose_ndrv, round_robin_assign, zigzag_assign
 from .organ_pipe import (
     clustered_organ_pipe_extents,
@@ -138,6 +137,7 @@ class ParallelBatchPlacement(PlacementScheme):
             method=self.cluster_method,
             detach_shared=self.detach_shared,
         )
+        labels = clustering.labels.tolist()
 
         # Step 4 ---------------------------------------------------------
         if self.refine:
@@ -165,27 +165,21 @@ class ParallelBatchPlacement(PlacementScheme):
                 # Past the last batch: scavenge free space anywhere (the
                 # skew no longer matters for these last stragglers).
                 for object_id in overflow:
-                    size = catalog.size_of(object_id)
-                    candidates = [
-                        tb for tb in assignment.values() if tb.fits(size)
-                    ]
-                    if not candidates:
+                    size = catalog.size_values[object_id]
+                    best = max(assignment.values(), key=lambda tb: tb.free_mb)
+                    if not best.fits(size):  # the roomiest tape cannot: none can
                         raise PlacementError(
                             f"object {object_id} ({size:.0f} MB) fits nowhere; "
                             "system capacity exhausted"
                         )
-                    best = max(candidates, key=lambda tb: tb.free_mb)
-                    best.add(object_id, size, catalog.probability_of(object_id) * size)
+                    best.add(object_id, size, catalog.probability_values[object_id] * size)
                 overflow = []
                 break
             sublist = sublists[b] if b < len(sublists) else []
             bins = [TapeBin(tid, tape_capacity) for tid in all_batches[b]]
-            pending = [[o] for o in overflow] + self._clusters_in_sublist(
-                sublist, clustering
-            )
+            pending = [[o] for o in overflow] + group_by_cluster(sublist, labels)
             overflow = []
-            for cluster_members in pending:
-                size = catalog.total_size_mb(cluster_members)
+            for cluster_members, size in zip(pending, group_sizes(pending, catalog)):
                 if b == 0:
                     # Sec. 5.1: always-mounted clusters spread over up to
                     # n×(d−m) tapes "for maximum parallelism" — those tapes
@@ -208,10 +202,9 @@ class ParallelBatchPlacement(PlacementScheme):
         layouts: Dict[TapeId, List] = {}
         for tid, tape_bin in assignment.items():
             if self.alignment == "clustered":
-                groups: Dict[int, List[int]] = {}
-                for object_id in tape_bin.object_ids:
-                    groups.setdefault(clustering.cluster_of(object_id), []).append(object_id)
-                layouts[tid] = clustered_organ_pipe_extents(list(groups.values()), catalog)
+                layouts[tid] = clustered_organ_pipe_extents(
+                    group_by_cluster(tape_bin.object_ids, labels), catalog
+                )
             elif self.alignment == "object":
                 layouts[tid] = organ_pipe_extents(tape_bin.object_ids, catalog)
             else:
@@ -275,14 +268,3 @@ class ParallelBatchPlacement(PlacementScheme):
                 [TapeId(lib, start + j) for j in range(m) for lib in range(n)]
             )
         return batches
-
-    @staticmethod
-    def _clusters_in_sublist(
-        sublist: Sequence[int], clustering: Clustering
-    ) -> List[List[int]]:
-        """Group a sublist's objects by cluster, in first-appearance
-        (density) order; after refinement most clusters are whole here."""
-        groups: Dict[int, List[int]] = {}
-        for object_id in sublist:
-            groups.setdefault(clustering.cluster_of(object_id), []).append(object_id)
-        return list(groups.values())

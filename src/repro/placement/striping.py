@@ -121,11 +121,7 @@ class StripedPlacement(PlacementScheme):
         # carry their start positions from the append cursor.
         layouts = {tid: extents for tid, extents in assignment.items() if extents}
         tape_priority = {
-            tid: float(
-                sum(catalog.probability_of(e.object_id) * (e.size_mb / catalog.size_of(e.object_id))
-                    for e in extents)
-            )
-            for tid, extents in layouts.items()
+            tid: self.total_priority(extents, catalog) for tid, extents in layouts.items()
         }
         initial_mounts = self.default_initial_mounts(layouts, tape_priority, spec)
 

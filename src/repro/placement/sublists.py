@@ -20,7 +20,7 @@ import numpy as np
 
 from ..catalog import ObjectCatalog
 from .base import PlacementError
-from .clustering import Clustering
+from .clustering import Clustering, group_by_cluster, group_sizes
 
 __all__ = ["density_order", "partition_sublists", "refine_sublists"]
 
@@ -46,29 +46,26 @@ def partition_sublists(
     larger than a whole batch is unplaceable."""
     if first_capacity_mb <= 0 or rest_capacity_mb <= 0:
         raise ValueError("sublist capacities must be positive")
+    sizes = catalog.size_values
     sublists: List[List[int]] = [[]]
     remaining = [first_capacity_mb]
 
-    for object_id in order:
-        size = catalog.size_of(int(object_id))
-        placed = False
+    for object_id in np.asarray(order, dtype=np.int64).tolist():
+        size = sizes[object_id]
         # The paper appends in order; a too-large object spills to the next
         # sublist.  Scanning earlier sublists (first-fit) would break the
         # probability skew, so only the tail sublist (and new ones) are used.
         if size <= remaining[-1] + 1e-9:
-            sublists[-1].append(int(object_id))
+            sublists[-1].append(object_id)
             remaining[-1] -= size
-            placed = True
         else:
             if size > rest_capacity_mb + 1e-9:
                 raise PlacementError(
                     f"object {object_id} ({size:.0f} MB) exceeds the switch-batch "
                     f"capacity ({rest_capacity_mb:.0f} MB)"
                 )
-            sublists.append([int(object_id)])
+            sublists.append([object_id])
             remaining.append(rest_capacity_mb - size)
-            placed = True
-        assert placed
     return sublists
 
 
@@ -96,41 +93,30 @@ def refine_sublists(
     sublists; sublist capacities are respected; sublist mean density is
     (approximately) non-increasing.
     """
-    order = [object_id for sublist in sublists for object_id in sublist]
-    sizes = np.asarray(catalog.sizes_mb)
-
-    # Clusters in decreasing aggregate-density order; members keep their
-    # original (density) order within the cluster.
-    position = {object_id: i for i, object_id in enumerate(order)}
-    members_by_cluster: dict = {}
-    for object_id in order:
-        members_by_cluster.setdefault(clustering.cluster_of(object_id), []).append(object_id)
-    cluster_order = sorted(
-        members_by_cluster,
-        key=lambda c: (
-            -clustering.clusters[c].density,
-            position[members_by_cluster[c][0]],
-        ),
+    groups = group_by_cluster(
+        (o for sublist in sublists for o in sublist), clustering.labels.tolist()
     )
+    sizes = group_sizes(groups, catalog)
+    # Clusters in decreasing aggregate-density order, ties by first
+    # appearance; members keep their original (density) order.
+    labels = clustering.labels[[group[0] for group in groups]]
+    density = clustering.probabilities[labels] / clustering.sizes_mb[labels]
 
     refined: List[List[int]] = [[]]
     remaining = [first_capacity_mb]
-    for c in cluster_order:
-        members = members_by_cluster[c]
-        size = float(sizes[members].sum())
-        placed = False
+    for g in np.argsort(-density, kind="stable").tolist():
+        group, size = groups[g], sizes[g]
         for s in range(len(refined)):
             if size <= remaining[s] + 1e-9:
-                refined[s].extend(members)
+                refined[s].extend(group)
                 remaining[s] -= size
-                placed = True
                 break
-        if not placed:
+        else:
             if size > rest_capacity_mb + 1e-9:
                 raise PlacementError(
                     f"cluster of {size:.0f} MB exceeds the switch-batch capacity "
                     f"({rest_capacity_mb:.0f} MB); cap clusters at batch size upstream"
                 )
-            refined.append(list(members))
+            refined.append(group)
             remaining.append(rest_capacity_mb - size)
     return refined

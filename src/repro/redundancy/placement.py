@@ -29,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple, Union
 
+import numpy as np
+
 from ..hardware import ObjectExtent, SystemSpec, TapeId
-from ..placement.base import PlacementError, PlacementResult, PlacementScheme
+from ..placement.base import ExtentTable, PlacementError, PlacementResult, PlacementScheme
 from ..workload import Workload
 
 __all__ = [
@@ -52,7 +54,7 @@ class RedundantPlacementResult(PlacementResult):
     needed: int = 1
     mode: str = "replicated"
 
-    def _check_objects(self, fragments: Dict[int, List], catalog, spec: SystemSpec) -> None:
+    def _check_objects(self, table: ExtentTable, catalog, spec: SystemSpec) -> None:
         """Redundancy-group accounting replacing the exactly-once rule.
 
         Every object must carry ``parts x replicas`` extents — one member
@@ -60,63 +62,61 @@ class RedundantPlacementResult(PlacementResult):
         spanning ``min(replicas, num_libraries)`` libraries, and each
         member sized ``(object_size / parts) / needed``.
         """
-        for object_id, entries in fragments.items():
-            first = entries[0][1]
-            parts, replicas, needed = first.parts, first.replicas, first.needed
-            if replicas != self.replicas or needed != self.needed:
-                raise PlacementError(
-                    f"object {object_id}: extent declares "
-                    f"{first.needed}/{first.replicas} redundancy, result says "
-                    f"{self.needed}/{self.replicas}"
+        ids = table.object_ids(len(catalog))
+        library = np.array([t.library for t in table.tapes], dtype=np.int64)[table.tape_index]
+        names = ("part", "replica", "parts", "replicas", "needed")
+        cols = (ids, *map(table.column, names), table.tape_index, library)
+        cols += (table.column("size_mb", float),)
+        order = np.lexsort((cols[2], cols[1], ids))  # object, then part, then replica
+        ids, part, replica, parts, replicas, needed, tape, library, size = (c[order] for c in cols)
+        new_object = np.diff(ids, prepend=-1) != 0
+        new_group = new_object | (np.diff(part, prepend=-1) != 0)
+        obj, grp = np.cumsum(new_object) - 1, np.cumsum(new_group) - 1
+        starts, group_starts = np.flatnonzero(new_object), np.flatnonzero(new_group)
+        # Every fragment against its object's first declaration.
+        P, R, K = parts[starts][obj], replicas[starts][obj], needed[starts][obj]
+        count = np.bincount(obj)[obj]
+        group_ordinal = grp - grp[starts][obj]
+        groups_per_object = np.bincount(obj[group_starts])[obj]
+        rank_in_group = np.arange(len(ids)) - group_starts[grp]
+        by_tape = np.lexsort((tape, grp))
+        shared_tape = np.zeros(len(ids), dtype=bool)
+        shared_tape[by_tape[1:]] = (np.diff(grp[by_tape]) == 0) & (np.diff(tape[by_tape]) == 0)
+        by_library = np.lexsort((library, grp))
+        new_library = (np.diff(grp[by_library], prepend=-1) != 0) | (
+            np.diff(library[by_library], prepend=-1) != 0
+        )
+        spanned = np.bincount(grp[by_library], weights=new_library).astype(np.int64)[grp]
+        required = np.minimum(R, spec.num_libraries)
+        expected = catalog.sizes_mb[ids] / P / K
+        checks = (
+            ((R != self.replicas) | (K != self.needed),
+             "extent declares {K}/{R} redundancy, result says " f"{self.needed}/{self.replicas}"),
+            ((parts != P) | (replicas != R) | (needed != K),
+             "inconsistent redundancy declarations"),
+            (count != P * R, "{count} of {PR} redundancy members placed"),
+            ((part != group_ordinal) | (groups_per_object != P),
+             "duplicate or missing fragment parts"),
+            ((replica != rank_in_group) | (np.bincount(grp)[grp] != R),
+             "part {part}: duplicate or missing replica indices"),
+            (shared_tape,
+             "part {part}: redundancy members share a tape (distinct-tape anti-affinity violated)"),
+            (spanned < required,
+             "part {part}: members span {spanned} libraries, anti-affinity requires {required}"),
+            (np.abs(size - expected) > 1e-6,
+             "part {part} replica {replica}: member size {size}, expected {expected}"),
+        )
+        for bad, message in checks:
+            if bad.any():
+                j = bad.argmax()
+                message = message.format(
+                    K=K[j], R=R[j], count=count[j], PR=P[j] * R[j], part=part[j],
+                    replica=replica[j], spanned=spanned[j], required=required[j],
+                    size=size[j], expected=expected[j],
                 )
-            if any(
-                e.parts != parts or e.replicas != replicas or e.needed != needed
-                for _, e in entries
-            ):
-                raise PlacementError(
-                    f"object {object_id}: inconsistent redundancy declarations"
-                )
-            if len(entries) != parts * replicas:
-                raise PlacementError(
-                    f"object {object_id}: {len(entries)} of {parts * replicas} "
-                    "redundancy members placed"
-                )
-            member_size = (catalog.size_of(object_id) / parts) / needed
-            groups: Dict[int, List[Tuple[TapeId, ObjectExtent]]] = {}
-            for tape_id, extent in entries:
-                groups.setdefault(extent.part, []).append((tape_id, extent))
-            if sorted(groups) != list(range(parts)):
-                raise PlacementError(
-                    f"object {object_id}: duplicate or missing fragment parts"
-                )
-            for part, members in groups.items():
-                if sorted(e.replica for _, e in members) != list(range(replicas)):
-                    raise PlacementError(
-                        f"object {object_id} part {part}: duplicate or missing "
-                        "replica indices"
-                    )
-                tapes = {tape_id for tape_id, _ in members}
-                if len(tapes) != len(members):
-                    raise PlacementError(
-                        f"object {object_id} part {part}: redundancy members "
-                        "share a tape (distinct-tape anti-affinity violated)"
-                    )
-                libraries = {tape_id.library for tape_id in tapes}
-                if len(libraries) < min(replicas, spec.num_libraries):
-                    raise PlacementError(
-                        f"object {object_id} part {part}: members span "
-                        f"{len(libraries)} libraries, anti-affinity requires "
-                        f"{min(replicas, spec.num_libraries)}"
-                    )
-                for _, extent in members:
-                    if abs(extent.size_mb - member_size) > 1e-6:
-                        raise PlacementError(
-                            f"object {object_id} part {part} replica "
-                            f"{extent.replica}: member size {extent.size_mb}, "
-                            f"expected {member_size}"
-                        )
-        if len(fragments) != len(catalog):
-            missing = len(catalog) - len(fragments)
+                raise PlacementError(f"object {ids[j]}: {message}")
+        if len(starts) != len(catalog):
+            missing = len(catalog) - len(starts)
             raise PlacementError(f"{missing} objects were not placed")
 
 
@@ -301,7 +301,7 @@ class ReplicatedPlacement(PlacementScheme):
                 )
                 layouts.setdefault(target, []).append(placed)
 
-        tape_priority = _member_priorities(layouts, catalog)
+        tape_priority = {t: self.total_priority(e, catalog) for t, e in layouts.items() if e}
         metadata = dict(base.metadata)
         metadata["redundancy"] = {"mode": "replicated", "r": r, "base": base.scheme}
         return RedundantPlacementResult(
@@ -392,7 +392,7 @@ class ErasureCodedPlacement(PlacementScheme):
                 )
                 layouts.setdefault(target, []).append(placed)
 
-        tape_priority = _member_priorities(layouts, catalog)
+        tape_priority = {t: self.total_priority(e, catalog) for t, e in layouts.items() if e}
         initial_mounts = PlacementScheme.default_initial_mounts(
             layouts, tape_priority, spec
         )
@@ -438,29 +438,6 @@ def _passthrough(
         needed=needed,
         mode=mode,
     )
-
-
-def _member_priorities(
-    layouts: Dict[TapeId, List[ObjectExtent]], catalog
-) -> Dict[TapeId, float]:
-    """Replacement-policy weights with access mass split across members.
-
-    Choice-of-d spreads a fragment's reads over its group, so each member
-    carries ``probability x size_share / replicas`` — the fractional
-    weighting striping already uses, divided again by the group size.
-    """
-    return {
-        tid: float(
-            sum(
-                catalog.probability_of(e.object_id)
-                * (e.size_mb / catalog.size_of(e.object_id))
-                / e.replicas
-                for e in extents
-            )
-        )
-        for tid, extents in layouts.items()
-        if extents
-    }
 
 
 def parse_redundancy(text: str) -> Dict[str, int]:
