@@ -8,9 +8,12 @@ point's canonical JSON serialization plus a code-version salt.  Re-running a
 figure after editing one scheme's configuration therefore recomputes only
 that scheme's points — every other key is unchanged and hits.
 
-The salt (:data:`CACHE_SALT`) must be bumped whenever simulator or placement
-*semantics* change in a way that alters results; the package version is also
-folded in so released behavior changes invalidate automatically.
+The salt (:func:`cache_salt`) folds in a SHA-256 of the semantics-bearing
+sources (:data:`SEMANTIC_PACKAGES`), so editing the simulator, the placement
+schemes or the workload generator invalidates every entry by itself: a
+cached result from older code can never pass as a fresh one.  The package
+version and the hand-set :data:`CACHE_SALT` are folded in too; bump the
+latter only for a result-changing edit outside those packages.
 
 Entries are pickles written atomically (temp file + ``os.replace``), fanned
 out over 256 two-hex-character subdirectories.  Corrupt or unreadable
@@ -25,21 +28,30 @@ import json
 import os
 import pickle
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Optional
 
 __all__ = [
     "CACHE_SALT",
     "MISS",
+    "SEMANTIC_PACKAGES",
     "ResultCache",
+    "cache_salt",
     "canonicalize",
     "canonical_json",
     "content_key",
     "default_cache_dir",
+    "source_digest",
 ]
 
-#: Bump on any change to simulator/placement semantics that alters results.
+#: Hand-set part of the salt.  Edits under :data:`SEMANTIC_PACKAGES` change
+#: the salt on their own; bump this only for a result-changing edit
+#: elsewhere (the sweep drivers, the cache payload format).
 CACHE_SALT = "sweep-v1"
+
+#: Subpackages of ``repro`` whose source bytes decide simulated results.
+SEMANTIC_PACKAGES = ("des", "hardware", "placement", "redundancy", "sim", "workload")
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
@@ -76,10 +88,42 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(canonicalize(obj), sort_keys=True, separators=(",", ":"))
 
 
-def content_key(obj: Any, *, salt: str = CACHE_SALT) -> str:
-    """SHA-256 hex digest of ``obj``'s canonical form + version salt."""
+@lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 of the :data:`SEMANTIC_PACKAGES` sources, once per process.
+
+    Hashes every file under those packages except ``__pycache__``, in
+    sorted relative-path order, as path, byte length and bytes.
+    """
+    root = Path(__file__).resolve().parent.parent
+    files = sorted(
+        path
+        for package in SEMANTIC_PACKAGES
+        for path in (root / package).rglob("*")
+        if path.is_file() and "__pycache__" not in path.parts
+    )
+    digest = hashlib.sha256()
+    for path in files:
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def cache_salt() -> str:
+    """The salt every default :func:`content_key` carries."""
+    return f"{CACHE_SALT}/{source_digest()}"
+
+
+def content_key(obj: Any, *, salt: Optional[str] = None) -> str:
+    """SHA-256 hex digest of ``obj``'s canonical form + version salt.
+
+    ``salt`` defaults to :func:`cache_salt`.
+    """
     from .. import __version__
 
+    if salt is None:
+        salt = cache_salt()
     payload = f"{__version__}/{salt}\n{canonical_json(obj)}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

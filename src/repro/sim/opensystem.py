@@ -32,6 +32,7 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import dataclass, field, replace as _dc_replace
+from heapq import heappop, heappush
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -45,7 +46,6 @@ from .engine import RequestExecution, _serve_job, _switch_to
 from .faults import FaultEscalation, FaultInjector, FaultSpec, failures_to_specs
 from .metrics import DriveServiceRecord, RequestMetrics, WindowStat, sliding_window_stats
 from .queueing import QueuedRequestRecord, QueueingResult
-from .replacement import replacement_key
 from .scheduling import TapeJob, estimate_job_time
 from .seekplanner import SeekPlanner, resolve_seek_planner
 
@@ -60,6 +60,8 @@ __all__ = [
 
 #: (record, metrics) produced by one completed request.
 _Outcome = Tuple[QueuedRequestRecord, RequestMetrics]
+
+_INF = float("inf")
 
 
 @dataclass
@@ -263,9 +265,13 @@ class SerialFCFSPolicy:
             raise RuntimeError("serial-fcfs lock still held after the run drained")
 
 
-@dataclass
+@dataclass(eq=False)
 class _DispatchedJob:
-    """One tape job in flight through a library dispatcher."""
+    """One tape job in flight through a library dispatcher.
+
+    Compared by identity: a dispatcher removes a job from its tape bucket by
+    ``is``, never by field equality.
+    """
 
     job: TapeJob
     #: Span-tree grouping key of the owning arrival (unique per arrival).
@@ -289,6 +295,87 @@ class _DispatchedJob:
     #: jobs share the dispatcher/worker machinery with user restores but
     #: are ordered by the configured repair-priority policy.
     repair: bool = False
+    #: Queue position while pending: submissions count up, a re-queued
+    #: orphan takes a number below every pending job (see the dispatcher).
+    seq: int = 0
+    #: Fair-share token cost cache: the job and the ``TapeSpec`` (the
+    #: holder drive's, or the library default) it was priced for, and the
+    #: estimate.  A re-queued orphan carries a new job, so it reprices.
+    cost_job: Optional[TapeJob] = None
+    cost_spec: Optional[object] = None
+    cost: float = 0.0
+
+
+class _TapeQueue:
+    """One admission class of pending jobs (user or repair), by tape slot.
+
+    ``buckets`` maps a tape slot to its pending jobs in ``seq`` order and
+    never holds an empty bucket; ``heads`` is a heap with one live
+    ``(bucket[0].seq, slot)`` entry per bucket, plus stale entries left by
+    removed heads that are dropped when they surface.
+    """
+
+    __slots__ = ("buckets", "heads", "count")
+
+    def __init__(self) -> None:
+        self.buckets: Dict[int, Deque[_DispatchedJob]] = {}
+        self.heads: List[Tuple[int, int]] = []
+        self.count = 0
+
+    def push(self, djob: _DispatchedJob, slot: int, front: bool = False) -> None:
+        bucket = self.buckets.get(slot)
+        if bucket is None:
+            self.buckets[slot] = deque((djob,))
+            self._push_head(djob.seq, slot)
+        elif front:
+            bucket.appendleft(djob)
+            self._push_head(djob.seq, slot)
+        else:
+            bucket.append(djob)
+        self.count += 1
+
+    def remove(self, djob: _DispatchedJob, slot: int) -> None:
+        bucket = self.buckets[slot]
+        if bucket[0] is djob:
+            bucket.popleft()
+            if bucket:
+                self._push_head(bucket[0].seq, slot)
+            else:
+                del self.buckets[slot]
+        else:
+            bucket.remove(djob)
+        self.count -= 1
+
+    def take(self, slot: int) -> List[_DispatchedJob]:
+        """Remove and return every pending job on one tape."""
+        bucket = self.buckets.pop(slot, None)
+        if bucket is None:
+            return []
+        self.count -= len(bucket)
+        return list(bucket)
+
+    def clear(self) -> None:
+        self.buckets.clear()
+        self.heads.clear()
+        self.count = 0
+
+    def min_seq(self) -> float:
+        """Smallest pending ``seq`` of this class (``inf`` when empty)."""
+        heads, buckets = self.heads, self.buckets
+        while heads:
+            seq, slot = heads[0]
+            bucket = buckets.get(slot)
+            if bucket is not None and bucket[0].seq == seq:
+                return seq
+            heappop(heads)
+        return _INF
+
+    def _push_head(self, seq: int, slot: int) -> None:
+        heads = self.heads
+        heappush(heads, (seq, slot))
+        if len(heads) > 4 * len(self.buckets) + 64:
+            # Bound the stale entries: a sorted list is a valid heap.
+            self.heads = sorted((b[0].seq, s) for s, b in self.buckets.items())
 
 
 class ConcurrentPolicy:
@@ -453,7 +540,7 @@ class ConcurrentPolicy:
     def _dispatcher_load(self, tape_id: TapeId) -> int:
         dispatcher = self.dispatchers[tape_id.library]
         load = (
-            len(dispatcher.pending) + len(dispatcher.inbox) + len(dispatcher.busy)
+            dispatcher.pending_count + len(dispatcher.inbox) + len(dispatcher.busy)
         )
         if not dispatcher.workers:
             # Down-but-recovering: counts as live (jobs wait for the repair)
@@ -598,7 +685,7 @@ class ConcurrentPolicy:
 
     def check_drained(self) -> None:
         for dispatcher in self.dispatchers.values():
-            unserved = len(dispatcher.pending) + len(dispatcher.inbox)
+            unserved = dispatcher.pending_count + len(dispatcher.inbox)
             if unserved:
                 raise RuntimeError(
                     f"library {dispatcher.library.id} finished with "
@@ -621,6 +708,29 @@ class _LibraryDispatcher:
       unpinned drive is left alive (degraded operation);
     * a failing drive's unserved extents re-queue at the front and the
       remaining drives pick them up.
+
+    Each assignment round picks the first admissible pending job in FIFO
+    order — or, with repair jobs queued, in repair-policy order — and the
+    drive the rules above give it.  The pending jobs are indexed so that
+    finding that job costs time in the number of drives, not in the queue
+    depth.  The index keeps these invariants between rounds:
+
+    * every pending job sits in exactly one bucket, of ``_user`` or
+      ``_repair`` by its ``repair`` flag, under its tape's slot (the slot
+      is unique because a dispatcher serves one library);
+    * ``seq`` orders all pending jobs of both classes as one FIFO queue:
+      submissions take ``_next_seq`` upwards, a failed drive's orphan takes
+      ``_front_seq`` downwards, below every pending job; each bucket is in
+      ``seq`` order, so only bucket heads compete;
+    * each class's heap holds its buckets' head ``seq``s, so a round walks
+      buckets in FIFO order and skips a tape whose drive is busy as a
+      whole bucket;
+    * a tape is protected from displacement while it has a bucket or a
+      ``committed`` drive, so no protected set is rebuilt per round;
+    * a ``committed`` drive is ``busy`` whenever a round runs: assignment,
+      completion, failure and the pinned restore set or clear both in one
+      synchronous step;
+    * ``pending_count`` and each class's ``count`` equal the jobs queued.
     """
 
     def __init__(self, opensys: "OpenSystem", library: TapeLibrary) -> None:
@@ -629,22 +739,26 @@ class _LibraryDispatcher:
         self.library = library
         self.trace = opensys.trace
         self.disk = opensys.disk
-        self.replacement_policy = opensys.replacement_policy
+        self.displacement_key = opensys.displacement_key
         self.tape_priority = opensys.tape_priority
         self.seek_planner = opensys.seek_planner
         self.pending_gauge = opensys.registry.gauge(
             f"dispatch.L{library.id}.pending", unit="jobs"
         )
-        self.pending: Deque[_DispatchedJob] = deque()
+        #: Pending user restores and pending repair jobs, bucketed by slot.
+        self._user = _TapeQueue()
+        self._repair = _TapeQueue()
+        self._next_seq = 0
+        self._front_seq = -1
         #: Drive index -> job handed over but not yet picked up.
         self.inbox: Dict[int, _DispatchedJob] = {}
         #: Drive indices currently assigned/working (inbox or serving).
         self.busy: set = set()
         #: Idle workers parked on these events.
         self.wake: Dict[int, Event] = {}
-        #: Tape -> drive index responsible for it right now (assignment
+        #: Tape slot -> drive index responsible for it right now (assignment
         #: through service; prevents two drives mounting one cartridge).
-        self.committed: Dict[TapeId, int] = {}
+        self.committed: Dict[int, int] = {}
         #: Drive indices with a failure interrupt in flight (guards against
         #: double interrupts when two fault processes hit one drive at once).
         self._dying: set = set()
@@ -671,10 +785,6 @@ class _LibraryDispatcher:
         self._repair_burst_s = 0.0
         self._repair_tokens = 0.0
         self._repair_tokens_at = 0.0
-        #: Count of repair jobs currently in ``pending``: with zero, the
-        #: dispatch loop skips policy ordering entirely, so an armed but
-        #: fault-free run pays nothing per round.
-        self._repair_pending = 0
         #: Batch-0 home tape of each pinned drive, captured at construction;
         #: repaired pinned drives restore this mount when feasible.
         self.pinned_home: Dict[int, TapeId] = {
@@ -688,6 +798,22 @@ class _LibraryDispatcher:
             if not drive.failed
         }
 
+    @property
+    def pending_count(self) -> int:
+        """Jobs queued and not yet handed to a drive."""
+        return self._user.count + self._repair.count
+
+    def pending_jobs(self) -> List[_DispatchedJob]:
+        """Every pending job in FIFO order (``seq``), both classes merged."""
+        jobs = [
+            djob
+            for queue in (self._user, self._repair)
+            for bucket in queue.buckets.values()
+            for djob in bucket
+        ]
+        jobs.sort(key=lambda djob: djob.seq)
+        return jobs
+
     # -- admission ------------------------------------------------------
     def submit(self, djob: _DispatchedJob) -> None:
         if self.media_armed and self.library.tapes[djob.job.tape_id].lost:
@@ -698,9 +824,10 @@ class _LibraryDispatcher:
             self._close_job_span(djob, drive_name="", aborted=True)
             djob.done.succeed()
             return
-        self.pending.append(djob)
-        if djob.repair:
-            self._repair_pending += 1
+        djob.seq = self._next_seq
+        self._next_seq += 1
+        queue = self._repair if djob.repair else self._user
+        queue.push(djob, djob.job.tape_id.slot)
         self._dispatch()
         if not self.workers:
             # No live drive at submit time: abort now unless a committed
@@ -717,28 +844,14 @@ class _LibraryDispatcher:
         self._repair_tokens = 0.0
         self._repair_tokens_at = self.env.now
 
-    def _repair_order(self) -> List[_DispatchedJob]:
-        """Pending queue in policy order (stable within each class)."""
-        if self.repair_policy == "user-first":
-            return sorted(self.pending, key=lambda dj: dj.repair)
-        if self.repair_policy == "repair-first":
-            return sorted(self.pending, key=lambda dj: not dj.repair)
-        return list(self.pending)  # fair-share keeps FIFO order
+    def _accrue_repair_tokens(self) -> None:
+        """Fair-share bucket refill up to now.
 
-    def _admit_repair(self, djob: _DispatchedJob) -> Optional[float]:
-        """Token cost (drive-seconds) to run this repair job now, or ``None``.
-
-        Only ``fair-share`` meters admission; the bucket accrues
-        ``share x live drives`` drive-seconds per second (capped at the
-        burst).  Work-conserving override: with no user job waiting, repair
-        runs regardless of tokens — idle drives are never held back, and
-        the environment can always drain (a token-starved repair job with
-        user work pending always has a future completion event to wake it).
+        The bucket accrues ``share x live drives`` drive-seconds per second
+        (capped at the burst).  It refills only in rounds that meter a
+        repair job, exactly when the admission rule consults it, because
+        the live-drive count may change between refills.
         """
-        if self.repair_policy != "fair-share":
-            return 0.0
-        if not any(not dj.repair for dj in self.pending):
-            return 0.0
         now = self.env.now
         if now > self._repair_tokens_at:
             rate = self._repair_share * max(1, len(self.workers))
@@ -747,100 +860,199 @@ class _LibraryDispatcher:
                 self._repair_tokens + rate * (now - self._repair_tokens_at),
             )
             self._repair_tokens_at = now
-        cost = estimate_job_time(djob.job, self.library, planner=self.seek_planner)
-        if self._repair_tokens >= cost:
-            return cost
-        return None
+
+    def _repair_cost(self, djob: _DispatchedJob, slot: int, mounted) -> float:
+        """Token cost of a repair job: its estimated service time, priced
+        against the ``TapeSpec`` of the drive holding its tape (cached per
+        job and spec)."""
+        holder = mounted.get(slot)
+        spec = holder.tape_spec if holder is not None else self.library.spec.tape
+        if djob.cost_spec is not spec or djob.cost_job is not djob.job:
+            djob.cost = estimate_job_time(
+                djob.job, self.library, planner=self.seek_planner
+            )
+            djob.cost_job = djob.job
+            djob.cost_spec = spec
+        return djob.cost
 
     def _dispatch(self) -> None:
-        if self.pending:
-            # Round-invariant context, hoisted out of the assignment loop:
-            # the live-drive pool and its degraded flag cannot change during
-            # a synchronous dispatch round (workers only resume at a later
-            # kernel step), and ``protected`` — tapes of pending jobs plus
-            # committed tapes — is invariant under assignment because an
-            # assigned job's tape moves from the pending side of the union
-            # to the committed side.
+        if self._user.count or self._repair.count:
+            # Round-invariant context: the live-drive pool and its degraded
+            # flag cannot change during a synchronous dispatch round
+            # (workers only resume at a later kernel step), and neither can
+            # mounts, indexed here by slot in drive order (``setdefault``
+            # keeps the first holder).
             workers = self.workers
-            live = [d for d in self.library.drives if d.id.index in workers]
+            drives = self.library.drives
+            live = [d for d in drives if d.id.index in workers]
             degraded = not any(not d.pinned for d in live)
-            protected = {dj.job.tape_id for dj in self.pending} | set(self.committed)
-            # Mounted-cartridge index in drive order (mounts only change
-            # when a worker later resumes), replacing a per-pending-job
-            # ``drive_holding`` scan with one dict lookup.  ``setdefault``
-            # keeps the first-match semantics of the scan it replaces.
             mounted = {}
-            for d in self.library.drives:
+            for d in drives:
                 tape = d.mounted
                 if tape is not None:
-                    mounted.setdefault(tape.id, d)
-            while self.pending and self._try_assign(live, degraded, protected, mounted):
+                    mounted.setdefault(tape.id.slot, d)
+            while self.pending_count and self._assign_next(live, degraded, mounted):
                 pass
-        self.pending_gauge.set(len(self.pending), self.env.now)
+        self.pending_gauge.set(self.pending_count, self.env.now)
         if self._restore_waiters:
             waiters, self._restore_waiters = self._restore_waiters, []
             for event in waiters:
                 if not event.triggered:
                     event.succeed()
 
-    def _try_assign(self, live, degraded, protected, mounted) -> bool:
+    def _assign_next(self, live, degraded, mounted) -> bool:
         """Assign the first admissible pending job; True if one was placed."""
         busy = self.busy
         idle = [d for d in live if d.id.index not in busy]
         if not idle:
             return False
-        committed = self.committed
-        workers = self.workers
-        pending = (
-            self._repair_order() if self._repair_pending else self.pending
+        free = self._free_drive(idle, degraded)
+        ready = self._ready_drives(idle) if free is None else None
+        pick = self._pick(free, ready, mounted)
+        if pick is None:
+            return False
+        djob, drive, cost = pick
+        queue = self._repair if djob.repair else self._user
+        queue.remove(djob, djob.job.tape_id.slot)
+        if cost:
+            self._repair_tokens -= cost
+        self._assign(djob, drive)
+        return True
+
+    def _free_drive(self, idle: List[TapeDrive], degraded: bool) -> Optional[TapeDrive]:
+        """The drive any tape without a holder would take, or ``None``.
+
+        Job-invariant: the lowest-index idle empty switch drive, else the
+        idle switch drive whose unprotected tape the replacement policy
+        displaces first.
+        """
+        displaceable = []
+        user, repair, committed = self._user.buckets, self._repair.buckets, self.committed
+        for d in idle:
+            if d.pinned and not degraded:
+                continue
+            tape = d.mounted
+            if tape is None:
+                return d  # ``idle`` is in drive order: the first empty wins
+            slot = tape.id.slot
+            if slot not in user and slot not in repair and slot not in committed:
+                displaceable.append(d)
+        if not displaceable:
+            return None
+        key, priority = self.displacement_key, self.tape_priority
+        return min(displaceable, key=lambda d: key(d, priority))
+
+    def _ready_drives(self, idle: List[TapeDrive]) -> Dict[int, TapeDrive]:
+        """Slot -> idle holder drive: with no free drive, the only tapes
+        that can be served this round are those an idle drive holds (a
+        committed tape's drive is always busy)."""
+        ready = {}
+        for d in idle:
+            tape = d.mounted
+            if tape is not None and tape.id.slot not in self.committed:
+                ready[tape.id.slot] = d
+        return ready
+
+    def _pick(self, free, ready, mounted):
+        """``(job, drive, token cost)`` of the first admissible job in policy
+        order, or ``None``.  User-first and repair-first serve one class
+        before the other; fair-share and plain FIFO merge both by ``seq``.
+        Fair-share meters repair jobs against the token bucket only while a
+        user job waits: otherwise repair runs regardless of tokens, so idle
+        drives are never held back and the environment can always drain (a
+        token-starved repair job with user work pending always has a future
+        completion event to wake it)."""
+        user, repair = self._user, self._repair
+        policy = self.repair_policy
+        if repair.count and policy == "repair-first":
+            return self._first(repair, free, ready, mounted) or self._first(
+                user, free, ready, mounted
+            )
+        first_user = self._first(user, free, ready, mounted) if user.count else None
+        if not repair.count:
+            return first_user
+        if policy == "user-first":
+            return first_user or self._first(repair, free, ready, mounted)
+        limit = first_user[0].seq if first_user is not None else _INF
+        metered = (
+            policy == "fair-share" and user.count > 0 and repair.min_seq() < limit
         )
-        for djob in pending:
-            repair_cost = 0.0
-            if djob.repair:
-                cost = self._admit_repair(djob)
-                if cost is None:
-                    continue  # fair-share: not enough drive-second tokens yet
-                repair_cost = cost
-            tape_id = djob.job.tape_id
-            holder_idx = committed.get(tape_id)
-            if holder_idx is None:
-                holder = mounted.get(tape_id)
+        if metered:
+            self._accrue_repair_tokens()
+        return self._first(repair, free, ready, mounted, limit, metered) or first_user
+
+    def _first(self, queue: _TapeQueue, free, ready, mounted, limit=_INF, metered=False):
+        """First admissible job of one class with ``seq < limit``.
+
+        A tape is admissible when its holder (committed drive, else the
+        live drive it is mounted in) is idle, or when it has no holder and
+        ``free`` is set.  With ``free`` unset only the ``ready`` tapes can
+        be; otherwise buckets are walked in head order, skipping whole
+        tapes whose holder is busy.  ``metered`` additionally requires a
+        repair job's token cost to be covered.
+        """
+        buckets = queue.buckets
+        best = None
+        if free is None:
+            for slot, drive in ready.items():
+                bucket = buckets.get(slot)
+                if bucket is not None:
+                    found = self._scan(bucket, slot, mounted, limit, metered)
+                    if found is not None:
+                        best = (found[0], drive, found[1])
+                        limit = found[0].seq
+            return best
+        heads = queue.heads
+        committed, workers, busy = self.committed, self.workers, self.busy
+        drives = self.library.drives
+        walked = []
+        while heads:
+            seq, slot = heads[0]
+            if seq >= limit:
+                break
+            bucket = buckets.get(slot)
+            if bucket is None or bucket[0].seq != seq:
+                heappop(heads)  # stale head entry
+                continue
+            idx = committed.get(slot)
+            if idx is None:
+                holder = mounted.get(slot)
                 if holder is not None and holder.id.index in workers:
-                    holder_idx = holder.id.index
-            if holder_idx is not None:
-                if holder_idx in self.busy:
-                    continue  # the cartridge lives in a busy drive: wait for it
-                chosen = self.library.drives[holder_idx]
-            else:
-                candidates = [d for d in idle if degraded or not d.pinned]
-                empty = [d for d in candidates if d.mounted is None]
-                if empty:
-                    chosen = min(empty, key=lambda d: d.id.index)
-                else:
-                    displaceable = [
-                        d for d in candidates if d.mounted.id not in protected
-                    ]
-                    if not displaceable:
-                        continue
-                    chosen = min(
-                        displaceable,
-                        key=lambda d: replacement_key(
-                            self.replacement_policy, d, self.tape_priority
-                        ),
-                    )
-            self.pending.remove(djob)
-            if djob.repair:
-                self._repair_pending -= 1
-            if repair_cost:
-                self._repair_tokens -= repair_cost
-            self._assign(djob, chosen)
-            return True
-        return False
+                    idx = holder.id.index
+            if idx is not None and idx in busy:
+                walked.append(heappop(heads))  # the cartridge's drive is busy
+                continue
+            drive = free if idx is None else drives[idx]
+            if not metered:
+                best = (bucket[0], drive, 0.0)
+                break
+            found = self._scan(bucket, slot, mounted, limit, metered)
+            if found is not None:
+                best = (found[0], drive, found[1])
+                limit = found[0].seq
+            walked.append(heappop(heads))
+        for entry in walked:
+            heappush(heads, entry)
+        return best
+
+    def _scan(self, bucket, slot, mounted, limit, metered):
+        """``(job, cost)`` of the first job in one admissible tape's bucket
+        that may run now, or ``None``."""
+        if not metered:
+            head = bucket[0]
+            return (head, 0.0) if head.seq < limit else None
+        for djob in bucket:
+            if djob.seq >= limit:
+                return None
+            cost = self._repair_cost(djob, slot, mounted)
+            if self._repair_tokens >= cost:
+                return (djob, cost)
+        return None
 
     def _assign(self, djob: _DispatchedJob, drive: TapeDrive) -> None:
         idx = drive.id.index
         self.busy.add(idx)
-        self.committed[djob.job.tape_id] = idx
+        self.committed[djob.job.tape_id.slot] = idx
         self.inbox[idx] = djob
         wake = self.wake.pop(idx, None)
         if wake is not None:
@@ -855,17 +1067,15 @@ class _LibraryDispatcher:
         Everything still queued or parked in a drive inbox fails now, so
         redundant requests fail over within the same dispatch round.
         """
-        doomed = [dj for dj in self.pending if dj.job.tape_id == tape_id]
-        for djob in doomed:
-            self.pending.remove(djob)
-            if djob.repair:
-                self._repair_pending -= 1
+        slot = tape_id.slot
+        doomed = self._user.take(slot) + self._repair.take(slot)
+        doomed.sort(key=lambda djob: djob.seq)
         for idx in [
             i for i, dj in self.inbox.items() if dj.job.tape_id == tape_id
         ]:
             doomed.append(self.inbox.pop(idx))
             self.busy.discard(idx)
-        self.committed.pop(tape_id, None)
+        self.committed.pop(slot, None)
         for djob in doomed:
             djob.aborted = True
             djob.error = f"tape {tape_id} lost (media failure)"
@@ -935,7 +1145,7 @@ class _LibraryDispatcher:
                 if holder is drive:
                     return  # already home (e.g. a queued job remounted it)
                 self_idle = (
-                    home not in self.committed
+                    home.slot not in self.committed
                     and idx not in self.busy
                     and idx not in self.inbox
                 )
@@ -949,7 +1159,7 @@ class _LibraryDispatcher:
                     self.busy.add(idx)
                     if holder_idx is not None:
                         self.busy.add(holder_idx)
-                    self.committed[home] = idx
+                    self.committed[home.slot] = idx
                     record = DriveServiceRecord(str(drive.id))
                     try:
                         if holder is not None:
@@ -961,8 +1171,8 @@ class _LibraryDispatcher:
                         self.busy.discard(idx)
                         if holder_idx is not None:
                             self.busy.discard(holder_idx)
-                        if self.committed.get(home) == idx:
-                            del self.committed[home]
+                        if self.committed.get(home.slot) == idx:
+                            del self.committed[home.slot]
                     return
                 event = env.event()
                 self._restore_waiters.append(event)
@@ -1014,12 +1224,12 @@ class _LibraryDispatcher:
         injector = self.opensys.injector
         if injector is not None and injector.will_recover(self.library):
             return
-        doomed = list(self.inbox.values()) + list(self.pending)
+        doomed = list(self.inbox.values()) + self.pending_jobs()
         self.inbox.clear()
-        self.pending.clear()
-        self._repair_pending = 0
+        self._user.clear()
+        self._repair.clear()
         for djob in doomed:
-            self.committed.pop(djob.job.tape_id, None)
+            self.committed.pop(djob.job.tape_id.slot, None)
             djob.aborted = True
             djob.error = (
                 f"library {self.library.id}: all drives failed, none pending "
@@ -1085,7 +1295,7 @@ class _LibraryDispatcher:
                     planner=self.seek_planner,
                 )
                 record.completion_s = env.now
-                self.committed.pop(job.tape_id, None)
+                self.committed.pop(job.tape_id.slot, None)
                 self.busy.discard(idx)
                 finished, djob = djob, None
                 self._close_job_span(finished, drive_name)
@@ -1118,7 +1328,7 @@ class _LibraryDispatcher:
                 injector.note_drive_down(drive_name)
             orphan = self.inbox.pop(idx, None) or djob
             if orphan is not None:
-                self.committed.pop(orphan.job.tape_id, None)
+                self.committed.pop(orphan.job.tape_id.slot, None)
                 record = orphan.records.get(drive_name)
                 if record is not None:
                     record.completion_s = env.now
@@ -1131,9 +1341,10 @@ class _LibraryDispatcher:
                     # drive's stages stay in the same causal subtree and the
                     # span still closes exactly once — when the job lands.
                     orphan.job = orphan.job.split_remaining()
-                    self.pending.appendleft(orphan)
-                    if orphan.repair:
-                        self._repair_pending += 1
+                    orphan.seq = self._front_seq
+                    self._front_seq -= 1
+                    queue = self._repair if orphan.repair else self._user
+                    queue.push(orphan, orphan.job.tape_id.slot, front=True)
             self._dispatch()
             # If this was the library's last drive and no repair is
             # committed, the queue can never drain: fail it now.
@@ -1257,6 +1468,7 @@ class OpenSystem:
         # trace this system by default — REPRO_TRACE=0 still disables it.
         self.trace = session.trace if session.trace.enabled else Trace()
         self.replacement_policy = session.replacement_policy
+        self.displacement_key = session.displacement_key
         self.tape_priority = session.placement.tape_priority
         self.failures = dict(failures or {})
 

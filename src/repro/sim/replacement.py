@@ -24,9 +24,15 @@ from typing import Callable, Dict, Mapping, Tuple
 
 from ..hardware import TapeDrive, TapeId
 
-__all__ = ["REPLACEMENT_POLICIES", "replacement_key", "available_policies"]
+__all__ = [
+    "REPLACEMENT_POLICIES",
+    "replacement_key",
+    "resolve_replacement_policy",
+    "available_policies",
+]
 
 PolicyKey = Callable[[TapeDrive, Mapping[TapeId, float]], float]
+DisplacementKey = Callable[[TapeDrive, Mapping[TapeId, float]], Tuple[float, int]]
 
 
 def _least_popular(drive: TapeDrive, priority: Mapping[TapeId, float]) -> float:
@@ -63,13 +69,31 @@ def available_policies() -> Tuple[str, ...]:
     return tuple(sorted(REPLACEMENT_POLICIES))
 
 
+def _policy_key(policy: str) -> PolicyKey:
+    try:
+        return REPLACEMENT_POLICIES[policy]
+    except KeyError:
+        known = ", ".join(available_policies())
+        raise ValueError(f"unknown replacement policy {policy!r}; known: {known}") from None
+
+
+def resolve_replacement_policy(policy: str) -> DisplacementKey:
+    """The displacement sort key of ``policy``, looked up once.
+
+    Returns ``key(drive, priority) -> (policy key, drive index)``; lower
+    keys are displaced first.  Raises ``ValueError`` naming the known
+    policies when ``policy`` is not registered.
+    """
+    key = _policy_key(policy)
+
+    def displacement_key(drive: TapeDrive, priority: Mapping[TapeId, float]) -> Tuple[float, int]:
+        return (key(drive, priority), drive.id.index)
+
+    return displacement_key
+
+
 def replacement_key(
     policy: str, drive: TapeDrive, priority: Mapping[TapeId, float]
 ) -> Tuple[float, int]:
     """Displacement sort key for ``drive`` under ``policy`` (lower first)."""
-    try:
-        key = REPLACEMENT_POLICIES[policy]
-    except KeyError:
-        known = ", ".join(available_policies())
-        raise ValueError(f"unknown replacement policy {policy!r}; known: {known}") from None
-    return (key(drive, priority), drive.id.index)
+    return (_policy_key(policy)(drive, priority), drive.id.index)

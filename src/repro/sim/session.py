@@ -24,6 +24,7 @@ from ..placement.base import PlacementResult, PlacementScheme
 from ..workload import Workload
 from .engine import simulate_request
 from .metrics import EvaluationResult, RequestMetrics
+from .replacement import resolve_replacement_policy
 from .seekplanner import resolve_seek_planner
 
 __all__ = ["SimulationSession", "evaluate_scheme"]
@@ -51,6 +52,7 @@ class SimulationSession:
     replacement_policy:
         Which mounted tape gets displaced first; see
         :mod:`repro.sim.replacement`.  Default: the paper's least-popular.
+        An unknown name raises ``ValueError`` here, before anything runs.
     seek_planner:
         Within-tape retrieval-order strategy (a registered name or a
         :class:`~repro.sim.seekplanner.SeekPlanner` instance); ``None``
@@ -70,6 +72,8 @@ class SimulationSession:
     ) -> None:
         if (scheme is None) == (placement is None):
             raise ValueError("provide exactly one of `scheme` or `placement`")
+        #: ``key(drive, priority)`` of the replacement policy, resolved once.
+        self.displacement_key = resolve_replacement_policy(replacement_policy)
         self.workload = workload
         self.spec = spec
         self.placement = placement if placement is not None else scheme.place(workload, spec)

@@ -1,18 +1,26 @@
 """Unit tests for the content-addressed sweep result cache."""
 
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import (
+    CACHE_SALT,
     MISS,
     ResultCache,
+    cache_salt,
     canonical_json,
     canonicalize,
     content_key,
     default_cache_dir,
+    source_digest,
 )
 
 
@@ -75,6 +83,42 @@ class TestContentKey:
 
     def test_salt_changes_key(self):
         assert content_key({"a": 1}) != content_key({"a": 1}, salt="sweep-v999")
+
+
+class TestSourceSalt:
+    """The salt carries a digest of the semantics-bearing sources, so a
+    result cached by older code can never be read back as a fresh one."""
+
+    def test_salt_folds_in_the_source_digest(self):
+        assert cache_salt() == f"{CACHE_SALT}/{source_digest()}"
+        assert len(source_digest()) == 64
+        assert content_key({"a": 1}) == content_key({"a": 1}, salt=cache_salt())
+
+    def test_salt_is_stable_across_processes(self):
+        src = Path(cache_module.__file__).resolve().parents[2]
+        code = "from repro.experiments.cache import cache_salt; print(cache_salt())"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        salts = {
+            subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout.strip()
+            for _ in range(2)
+        }
+        assert salts == {cache_salt()}
+
+    def test_source_change_changes_every_key(self, monkeypatch):
+        before = content_key({"point": 1})
+        monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
+        assert content_key({"point": 1}) != before
+
+    def test_digest_computed_once_per_process(self):
+        source_digest()
+        hits = source_digest.cache_info().hits
+        for i in range(3):
+            content_key({"point": i})
+        assert source_digest.cache_info().hits == hits + 3
+        assert source_digest.cache_info().misses == 1
 
 
 class TestResultCache:

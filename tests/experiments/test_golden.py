@@ -7,7 +7,8 @@ intended semantic change — in which case regenerate with
 
     PYTHONPATH=src python -m pytest tests/experiments/test_golden.py --update-golden
 
-review the diff, bump ``repro.experiments.cache.CACHE_SALT``, and commit.
+review the diff and commit (the sweep cache salt follows the simulator
+sources by itself; see ``repro.experiments.cache.cache_salt``).
 Values are stored via JSON (repr-round-trippable floats), so comparisons
 can be essentially exact; the loose-ish tolerance below only absorbs
 cross-platform libm differences in the simulator's transcendentals.

@@ -92,6 +92,22 @@ class TestSessionMechanics:
         with pytest.raises(ValueError):
             SimulationSession(workload, spec, scheme=scheme, placement=placement)
 
+    @pytest.mark.parametrize("policy", ["concurrent", "serial-fcfs"])
+    def test_unknown_replacement_policy_rejected_at_construction(
+        self, workload, spec, policy
+    ):
+        """Not only ``evaluate``: an open system that never displaces a tape
+        would otherwise run to completion under a misspelled policy."""
+        placement = ParallelBatchPlacement(m=2).place(workload, spec)
+        with pytest.raises(
+            ValueError,
+            match="unknown replacement policy 'yolo'; known: least_popular, "
+            "most_popular, newest_mount, oldest_mount, slot_order",
+        ):
+            SimulationSession(
+                workload, spec, placement=placement, replacement_policy="yolo"
+            ).open(policy=policy).run(60.0, num_arrivals=2, seed=1)
+
     def test_precomputed_placement_accepted(self, workload, spec):
         placement = ParallelBatchPlacement(m=2).place(workload, spec)
         session = SimulationSession(workload, spec, placement=placement)
