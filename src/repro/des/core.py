@@ -127,6 +127,32 @@ class Environment:
             self.scheduler.push((self._now + delay, NORMAL, eid, t))
         return t
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create a :class:`Timeout` that fires at absolute time ``when``.
+
+        Same fast lane as :meth:`timeout`.  A caller that folds a chain of
+        back-to-back delays into one event adds them up itself, in the
+        order the chain would have (``((now + a) + b) + ...``), and passes
+        the sum here: the event then fires at the very float the last
+        relative timeout of the chain would have reached.
+        """
+        if when < self._now:
+            raise ValueError(f"timeout at {when} is before now ({self._now})")
+        t = Timeout.__new__(Timeout)
+        t.env = self
+        t.callbacks = []
+        t._value = value
+        t._ok = True
+        t._defused = False
+        t._delay = when - self._now
+        eid = self._eid
+        self._eid = eid + 1
+        if self._heapmode:
+            heappush(self._queue, (when, NORMAL, eid, t))
+        else:
+            self.scheduler.push((when, NORMAL, eid, t))
+        return t
+
     def process(self, generator: ProcessGenerator) -> Process:
         """Start a new :class:`Process` from ``generator``."""
         return Process(self, generator)

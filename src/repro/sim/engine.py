@@ -18,6 +18,19 @@ at a time with long gaps: a switching tape left mounted stays mounted, and
 its rewind is paid by whichever later request displaces it (T_switch
 explicitly includes rewind time, Sec. 4).
 
+Nothing outside a drive observes the boundaries between its seeks and
+transfers, so a tape job is one kernel event (a *stride*): its end time is
+the per-extent seeks and transfers added up in the order per-extent events
+would have advanced the clock.  A switch is three: the rewind, the robot
+request, and the robot-held unload + exchange + load.  Traced strides emit
+the same spans, with computed times.  Two drives that finish at one instant
+act in the order their job or exchange started.  Per-step service (one
+event per seek, transfer and switch stage) remains where something does
+observe or cut those boundaries: a disk stage that admits each transfer
+(``disk_bandwidth_mb_s``), a drive with an armed failure watchdog, and the
+concurrent open-system worker, whose dispatcher reads busy drives' mount
+and head state.
+
 The machinery is factored as :class:`RequestExecution` so the same
 planning / drive-process / failure-rescue logic can run either on a
 throwaway :class:`~repro.des.Environment` (this module's closed-loop
@@ -289,10 +302,16 @@ class _LibraryRuntime:
         if drive.failed or drive.id.index in self.active:
             return
         self.active.add(drive.id.index)
-        process = self.env.process(self._drive_process(drive, first_job, switchable))
-        self.processes.append(process)
         fail_at = self.failures.get(str(drive.id))
-        if fail_at is not None and fail_at >= self.env.now:
+        armed = fail_at is not None and fail_at >= self.env.now
+        # Strides need a drive nothing interrupts and extents no disk gate
+        # admits one by one (see ``_serve_job``).
+        stride = self.disk is None and not armed
+        process = self.env.process(
+            self._drive_process(drive, first_job, switchable, stride)
+        )
+        self.processes.append(process)
+        if armed:
 
             def watchdog(delay=fail_at - self.env.now, proc=process):
                 yield self.env.timeout(delay)
@@ -315,7 +334,9 @@ class _LibraryRuntime:
         for drive in survivors:
             self.spawn(drive, None, switchable=True)
 
-    def _drive_process(self, drive: TapeDrive, first_job: Optional[TapeJob], switchable: bool):
+    def _drive_process(
+        self, drive: TapeDrive, first_job: Optional[TapeJob], switchable: bool, stride: bool
+    ):
         """One drive's behaviour for one request: serve, then drain the queue.
 
         An injected drive failure arrives as an :class:`Interrupt`: the
@@ -340,6 +361,7 @@ class _LibraryRuntime:
                     yield from _serve_job(
                         env, drive, first_job, record, trace, disk,
                         parent=job_ctx.id, request=request_id, planner=planner,
+                        stride=stride,
                     )
                 record.completion_s = env.now
             current = None
@@ -356,11 +378,12 @@ class _LibraryRuntime:
                 ) as job_ctx:
                     yield from _switch_to(
                         env, library, drive, job.tape_id, record, trace,
-                        parent=job_ctx.id, request=request_id,
+                        parent=job_ctx.id, request=request_id, stride=stride,
                     )
                     yield from _serve_job(
                         env, drive, job, record, trace, disk,
                         parent=job_ctx.id, request=request_id, planner=planner,
+                        stride=stride,
                     )
                 current = None
                 record.completion_s = env.now
@@ -392,25 +415,69 @@ def _serve_job(
     parent: Optional[int] = None,
     request: Optional[int] = None,
     planner: Optional[SeekPlanner] = None,
+    stride: bool = False,
 ):
     """Read all of a job's extents in the planner's chosen order.
 
-    The job's completion index advances as extents finish, so an
-    interrupting failure knows exactly what is left to re-queue without
-    scanning (the former per-extent ``list.remove`` was O(n²) per job).
+    A job that starts at beginning of tape reuses the order its offline
+    LPT estimate planned (``job.planned``) instead of planning again.
 
-    A failure interrupt arriving mid-stage unwinds through the span
-    context managers, closing the in-flight span with ``aborted=True`` —
-    the stage's time is *not* folded into ``record`` (the extent restarts
-    from scratch elsewhere), and attribution skips aborted spans.
+    With ``stride`` the whole job is one kernel event: every extent's
+    seek and transfer is added up in the order the per-extent events
+    would have advanced the clock, the head, record and completion index
+    are updated at once, and the drive yields one timeout at the end time
+    (with tracing on, the same seek/transfer spans are emitted with those
+    computed times).  Only a caller whose drive nothing can interrupt and
+    whose transfers pass no disk gate may stride.
+
+    Otherwise every seek and transfer is its own event: the disk gate
+    admits each transfer, and the completion index advances as extents
+    finish, so an interrupting failure knows exactly what is left to
+    re-queue.  A failure interrupt arriving mid-stage closes the in-flight
+    span with ``aborted=True`` — the stage's time is *not* folded into
+    ``record`` (the extent restarts from scratch elsewhere), and
+    attribution skips aborted spans.
     """
     tape = drive.mounted
     assert tape is not None and tape.id == job.tape_id, "job routed to wrong drive"
-    if planner is None:
-        planner = resolve_seek_planner(None)
-    ordered, _ = planner.plan(job.remaining_extents, tape.head_mb, drive.tape_spec)
+    planned = job.planned
+    if planned is not None and planned[0] is drive.tape_spec and tape.head_mb == 0.0:
+        ordered = planned[1]
+    else:
+        if planner is None:
+            planner = resolve_seek_planner(None)
+        ordered, _ = planner.plan(job.remaining_extents, tape.head_mb, drive.tape_spec)
     job.begin(ordered)
     drive_name = str(drive.id)
+    tracing = trace.enabled
+    if stride:
+        span_append = trace._spans.append if tracing else None
+        t = env._now
+        for extent in ordered:
+            seek, transfer = drive.read_extent(extent)
+            if seek > 0:
+                if tracing:
+                    sid = trace._next_id
+                    trace._next_id = sid + 1
+                    span_append((
+                        "seek", t, t + seek, ("drive", drive_name, "object", extent.object_id),
+                        sid, parent, request,
+                    ))
+                t += seek
+            record.seek_s += seek
+            if tracing:
+                sid = trace._next_id
+                trace._next_id = sid + 1
+                span_append((
+                    "transfer", t, t + transfer,
+                    ("drive", drive_name, "object", extent.object_id), sid, parent, request,
+                ))
+            t += transfer
+            record.transfer_s += transfer
+            record.bytes_mb += extent.size_mb
+        job.completed = len(ordered)
+        yield env.timeout_at(t)
+        return
     # The per-extent loop is the engine's hot path: with tracing off, even a
     # null-context call per seek/transfer is measurable, so hoist the check.
     # With tracing on, the seek/transfer spans (the majority of all spans in
@@ -418,7 +485,6 @@ def _serve_job(
     # claimed and the raw span tuple appended inline (the storage format
     # ``Trace._all`` materializes lazily), reproducing the context manager's
     # id-allocation order, timestamps and aborted-on-interrupt tagging.
-    tracing = trace.enabled
     if tracing:
         span_append = trace._spans.append
     for extent in ordered:
@@ -499,6 +565,23 @@ def _serve_job(
         job.advance()
 
 
+def _stride_end(env, trace: Trace, stages: tuple, parent, request) -> float:
+    """End time of back-to-back ``(name, delay, attrs)`` stages starting now.
+
+    The delays are added in stage order, as per-stage timeouts would have
+    advanced the clock; with tracing on, each stage's span is appended with
+    those computed times.
+    """
+    t = env._now
+    for name, delay, attrs in stages:
+        if trace.enabled:
+            sid = trace._next_id
+            trace._next_id = sid + 1
+            trace._spans.append((name, t, t + delay, attrs, sid, parent, request))
+        t += delay
+    return t
+
+
 def _switch_to(
     env,
     library: TapeLibrary,
@@ -508,11 +591,21 @@ def _switch_to(
     trace: Trace,
     parent: Optional[int] = None,
     request: Optional[int] = None,
+    stride: bool = False,
 ):
-    """Full tape switch: rewind, unload, robot exchange, load-and-thread."""
+    """Full tape switch: rewind, unload, robot exchange, load-and-thread.
+
+    The rewind and the robot request are events of their own, so robot
+    FIFO order still follows who asked first.  With ``stride`` the
+    robot-held rest (unload + exchange + load, or fetch + load for an
+    empty drive) is one kernel event: the cartridges are swapped when it
+    starts, and it ends when the per-stage events would have.  Without
+    it every stage is an event.
+    """
     new_tape = library.tape(tape_id)
     drive_name = str(drive.id)
     robot = library.robot
+    held = drive.mounted is not None
 
     # Same guarded fast lane as ``_serve_job``: a full switch emits one
     # parent span plus 3–4 leaf spans, all with fixed attributes, so each
@@ -528,7 +621,7 @@ def _switch_to(
     else:
         swid = None
     try:
-        if drive.mounted is not None:
+        if held:
             rewind = drive.rewind_time()
             if rewind > 0:
                 if tracing:
@@ -551,20 +644,55 @@ def _switch_to(
                 else:
                     yield env.timeout(rewind)
 
-            requested_at = env.now
-            with robot.resource.request() as grant:
-                yield grant
-                wait = env.now - requested_at
-                if wait > 0:
-                    trace.record(
-                        "robot_wait", requested_at, env.now,
-                        parent=swid, request=request, drive=drive_name,
+        requested_at = env.now
+        with robot.resource.request() as grant:
+            yield grant
+            wait = env.now - requested_at
+            if wait > 0:
+                trace.record(
+                    "robot_wait", requested_at, env.now,
+                    parent=swid, request=request, drive=drive_name,
+                )
+            record.robot_wait_s += wait
+            # The paper "models robotic arm mount/unmount operations as
+            # constant time values": the arm is held for the whole
+            # unload + return-to-cell + fetch + mount sequence.
+            if stride:
+                on_drive = ("drive", drive_name)
+                if held:
+                    stages = (
+                        ("unload", drive.unload_time, on_drive),
+                        ("robot_exchange", robot.exchange_time, on_drive),
                     )
-                record.robot_wait_s += wait
-                # The paper "models robotic arm mount/unmount operations as
-                # constant time values": the arm is held for the whole
-                # unload + return-to-cell + fetch + mount sequence.
-                if tracing:
+                    drive.unmount()
+                else:
+                    stages = (("robot_fetch", robot.move_time, on_drive),)
+                load = ("load", drive.load_time, ("drive", drive_name, "tape", str(tape_id)))
+                end = _stride_end(env, trace, stages + (load,), swid, request)
+                drive.mount(new_tape)
+                yield env.timeout_at(end)
+            else:
+                if not held:
+                    if tracing:
+                        sid = trace._next_id
+                        trace._next_id = sid + 1
+                        started = env._now
+                        try:
+                            yield env.timeout(robot.move_time)  # fetch only: drive was empty
+                        except BaseException:
+                            span_append((
+                                "robot_fetch", started, env._now,
+                                {"drive": drive_name, "aborted": True},
+                                sid, swid, request,
+                            ))
+                            raise
+                        span_append((
+                            "robot_fetch", started, env._now, ("drive", drive_name),
+                            sid, swid, request,
+                        ))
+                    else:
+                        yield env.timeout(robot.move_time)
+                elif tracing:
                     sid = trace._next_id
                     trace._next_id = sid + 1
                     started = env._now
@@ -600,58 +728,8 @@ def _switch_to(
                 else:
                     yield env.timeout(drive.unload_time)
                     yield env.timeout(robot.exchange_time)
-                drive.unmount()
-                drive.mount(new_tape)
-                if tracing:
-                    sid = trace._next_id
-                    trace._next_id = sid + 1
-                    started = env._now
-                    try:
-                        yield env.timeout(drive.load_time)
-                    except BaseException:
-                        span_append((
-                            "load", started, env._now,
-                            {"drive": drive_name, "tape": str(tape_id), "aborted": True},
-                            sid, swid, request,
-                        ))
-                        raise
-                    span_append((
-                        "load", started, env._now,
-                        ("drive", drive_name, "tape", str(tape_id)),
-                        sid, swid, request,
-                    ))
-                else:
-                    yield env.timeout(drive.load_time)
-        else:
-            requested_at = env.now
-            with robot.resource.request() as grant:
-                yield grant
-                wait = env.now - requested_at
-                if wait > 0:
-                    trace.record(
-                        "robot_wait", requested_at, env.now,
-                        parent=swid, request=request, drive=drive_name,
-                    )
-                record.robot_wait_s += wait
-                if tracing:
-                    sid = trace._next_id
-                    trace._next_id = sid + 1
-                    started = env._now
-                    try:
-                        yield env.timeout(robot.move_time)  # fetch only: drive was empty
-                    except BaseException:
-                        span_append((
-                            "robot_fetch", started, env._now,
-                            {"drive": drive_name, "aborted": True},
-                            sid, swid, request,
-                        ))
-                        raise
-                    span_append((
-                        "robot_fetch", started, env._now, ("drive", drive_name),
-                        sid, swid, request,
-                    ))
-                else:
-                    yield env.timeout(robot.move_time)
+                if held:
+                    drive.unmount()
                 drive.mount(new_tape)
                 if tracing:
                     sid = trace._next_id

@@ -1627,6 +1627,7 @@ class OpenSystem:
                     )
                 self.session.reset()
             self._ran = True
+            self.session._as_placed = False
             self._expected = num_arrivals
 
             rng = np.random.default_rng(seed)

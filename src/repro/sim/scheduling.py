@@ -67,6 +67,11 @@ class TapeJob:
     tape_id: TapeId
     extents: List[ObjectExtent]
     completed: int = 0
+    #: ``(tape_spec, order)`` planned from beginning of tape by the offline
+    #: LPT estimate; the engine serves ``order`` as is when the job starts
+    #: at beginning of tape on a drive with that spec, instead of planning
+    #: the same extents again.
+    planned: Optional[tuple] = None
 
     @property
     def bytes_mb(self) -> float:
@@ -159,9 +164,19 @@ def build_library_plan(
             serving_drives.append(drive.id.index)
 
     offline = [job for tid, job in local_jobs.items() if tid not in mounted]
-    offline.sort(
-        key=lambda job: (-estimate_job_time(job, library, planner=planner), job.tape_id)
-    )
+    if offline:
+        # ``estimate_job_time`` at head 0, minus its holder scan: an offline
+        # tape has no holder, so the library's default spec prices it.
+        tape_spec = library.spec.tape
+        transfer_time = library.spec.drive.transfer_time
+        planner = resolve_seek_planner(planner)
+
+        def lpt_key(job: TapeJob) -> tuple:
+            order, seek = planner.plan(job.extents, 0.0, tape_spec)
+            job.planned = (tape_spec, order)
+            return (-(seek + transfer_time(job.bytes_mb)), job.tape_id)
+
+        offline.sort(key=lpt_key)
     plan.offline = offline
 
     if offline:

@@ -80,6 +80,9 @@ class SimulationSession:
         self.placement.validate(workload.catalog, spec)
         self.system = TapeSystem(spec)
         self.index = self.placement.apply_to(self.system)
+        #: True while the hardware is exactly as ``apply_to`` left it:
+        #: ``evaluate(reset=True)`` then has nothing to restore.
+        self._as_placed = True
         self.trace = Trace(enabled=trace)
         self.replacement_policy = replacement_policy
         self.seek_planner = resolve_seek_planner(seek_planner)
@@ -148,6 +151,7 @@ class SimulationSession:
         request (drive name -> failure time); see
         :func:`~repro.sim.engine.simulate_request`.
         """
+        self._as_placed = False
         return simulate_request(
             self.system,
             self.index,
@@ -166,6 +170,7 @@ class SimulationSession:
         scheduler will serve its content through the surviving drives.
         ``reset()`` restores the healthy state.
         """
+        self._as_placed = False
         wanted = set(drive_names)
         found = set()
         for library in self.system.libraries:
@@ -181,8 +186,13 @@ class SimulationSession:
             raise ValueError(f"unknown drive names: {sorted(missing)}")
 
     def reset(self) -> None:
-        """Restore the freshly-placed state (initial mounts, heads at BOT)."""
+        """Restore the freshly-placed state (initial mounts, heads at BOT).
+
+        Always rewrites the layouts and rebuilds the location index, after
+        :meth:`serve`, :meth:`fail_drives` or :meth:`open` alike.
+        """
         self.index = self.placement.apply_to(self.system)
+        self._as_placed = True
 
     def evaluate(
         self,
@@ -195,8 +205,13 @@ class SimulationSession:
 
         ``warmup`` extra requests are served first and discarded (they bring
         mounted switching tapes / head positions to steady state).
+
+        ``reset=True`` starts from the freshly placed state.  A session that
+        has served nothing, failed no drive and opened no open system since
+        construction or its last :meth:`reset` is already there, so the
+        layouts and location index are not built a second time.
         """
-        if reset:
+        if reset and not self._as_placed:
             self.reset()
         rng = np.random.default_rng(seed)
         sampled = self.workload.requests.sample(rng, warmup + num_samples)

@@ -165,7 +165,8 @@ class TestSwitching:
         assert m.response_s == pytest.approx(42.0)
         assert m.num_switches == 2
 
-    def test_lpt_longest_job_first(self):
+    def test_lpt_longest_job_first(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         system, _ = make_system(num_drives=1, num_tapes=4)
         place(system, TapeId(0, 2), [(1, 0.0, 50.0)])     # short job
         place(system, TapeId(0, 3), [(2, 0.0, 500.0)])    # long job
@@ -218,8 +219,9 @@ class TestSwitching:
         assert system.library(0).drives[0].mounted.id == TapeId(0, 0)
         assert system.library(0).drives[1].mounted.id == TapeId(0, 2)
 
-    def test_mounted_switching_tape_served_before_unmount(self):
+    def test_mounted_switching_tape_served_before_unmount(self, monkeypatch):
         """A mounted tape with requested objects serves them, then switches."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         system, _ = make_system(num_drives=1)
         place(system, TapeId(0, 0), [(1, 0.0, 100.0)])
         place(system, TapeId(0, 2), [(2, 0.0, 100.0)])
@@ -249,7 +251,8 @@ class TestStatePersistence:
         assert second.response_s == pytest.approx(11.0)
         assert second.num_switches == 0
 
-    def test_robot_wait_recorded(self):
+    def test_robot_wait_recorded(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         system, _ = make_system()
         place(system, TapeId(0, 2), [(1, 0.0, 100.0)])
         place(system, TapeId(0, 3), [(2, 0.0, 100.0)])

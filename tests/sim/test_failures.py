@@ -64,9 +64,10 @@ class TestDriveFailure:
         assert m.response_s == pytest.approx(10.0)
         assert not lib.drives[0].failed  # watchdog found the process done
 
-    def test_partial_job_requeues_only_leftovers(self):
+    def test_partial_job_requeues_only_leftovers(self, monkeypatch):
         """Two extents; the first completes before the failure — only the
         second is re-read by the rescuer."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         system = make_system()
         lib = system.library(0)
         lib.tape(TapeId(0, 0)).write_layout(
@@ -117,7 +118,8 @@ class TestDriveFailure:
         system.reset_runtime_state()
         assert not system.library(0).drives[0].failed
 
-    def test_failure_recorded_in_trace(self):
+    def test_failure_recorded_in_trace(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         system = make_system()
         lib = system.library(0)
         lib.tape(TapeId(0, 0)).write_layout([ObjectExtent(1, 0, 200.0)])

@@ -183,11 +183,13 @@ class TestSpecValidation:
 class TestRepair:
     @pytest.fixture(scope="class")
     def repaired(self, workload, spec):
-        session = _session(workload, spec)
-        osys = session.open(
-            faults=(DriveFailure("L0.D0", at_s=400.0, repair_after_s=600.0),)
-        )
-        return session, osys.run(60.0, num_arrivals=40, seed=4)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
+            session = _session(workload, spec)
+            osys = session.open(
+                faults=(DriveFailure("L0.D0", at_s=400.0, repair_after_s=600.0),)
+            )
+            return session, osys.run(60.0, num_arrivals=40, seed=4)
 
     def test_all_requests_complete(self, repaired):
         _, result = repaired
@@ -252,16 +254,18 @@ class TestRepair:
 class TestAbortedRequests:
     @pytest.fixture(scope="class")
     def all_dead(self, workload):
-        spec = _spec(num_libraries=1, num_drives=2)
-        session = SimulationSession(
-            workload, spec, scheme=ObjectProbabilityPlacement()
-        )
-        faults = tuple(
-            DriveFailure(str(d.id), at_s=50.0)
-            for d in session.system.libraries[0].drives
-        )
-        result = session.open(faults=faults).run(60.0, num_arrivals=15, seed=3)
-        return result
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
+            spec = _spec(num_libraries=1, num_drives=2)
+            session = SimulationSession(
+                workload, spec, scheme=ObjectProbabilityPlacement()
+            )
+            faults = tuple(
+                DriveFailure(str(d.id), at_s=50.0)
+                for d in session.system.libraries[0].drives
+            )
+            result = session.open(faults=faults).run(60.0, num_arrivals=15, seed=3)
+            return result
 
     def test_terminates_with_aborted_requests(self, all_dead):
         """The environment drains; requests fail instead of waiting forever."""
@@ -352,10 +356,11 @@ class TestRescueEdgeCases:
         ).run(120.0, num_arrivals=20, seed=seed)
         return session, result
 
-    def test_failure_mid_switch(self):
+    def test_failure_mid_switch(self, monkeypatch):
         """Fail a drive exactly in the middle of one of its exchanges
         (timing up to the failure instant matches the healthy run, so the
         interrupt deterministically lands mid-switch)."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         switches = [
             s
             for s in self._healthy_spans()
@@ -377,9 +382,10 @@ class TestRescueEdgeCases:
         # The cartridge went back to its cell, not stuck in the dead drive.
         assert failed.mounted is None
 
-    def test_failure_between_dispatch_and_pickup(self):
+    def test_failure_between_dispatch_and_pickup(self, monkeypatch):
         """Fail the drive inside a job's dispatch-wait window (assigned but
         not yet started); the job must be rescued by the survivors."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         waits = [
             s
             for s in self._healthy_spans()
@@ -457,7 +463,8 @@ class TestRescueEdgeCases:
 
 
 class TestTransientFaults:
-    def test_retries_recorded_with_backoff_spans(self, workload, spec):
+    def test_retries_recorded_with_backoff_spans(self, workload, spec, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         retry = RetryPolicy(max_retries=6, base_delay_s=3.0, multiplier=2.0, max_delay_s=48.0)
         session = _session(workload, spec)
         result = session.open(
@@ -515,7 +522,8 @@ class TestTransientFaults:
 
 
 class TestRobotOutage:
-    def test_outage_stalls_exchanges_library_wide(self, workload, spec):
+    def test_outage_stalls_exchanges_library_wide(self, workload, spec, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         baseline = simulate_open_system(
             _session(workload, spec), 120.0, num_arrivals=20, seed=4
         )
@@ -531,7 +539,8 @@ class TestRobotOutage:
         # Exchanges stalled behind the jam: the stream cannot finish faster.
         assert result.mean_sojourn_s >= baseline.mean_sojourn_s
 
-    def test_outage_without_library_jams_all_arms(self, workload, spec):
+    def test_outage_without_library_jams_all_arms(self, workload, spec, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         result = _session(workload, spec).open(
             faults=(RobotOutage(at_s=300.0, duration_s=600.0),)
         ).run(120.0, num_arrivals=20, seed=4)
@@ -674,9 +683,10 @@ class TestInjectorAccounting:
         assert isinstance(osys.injector, FaultInjector)
         assert osys.injector.specs == (DriveFailure("L0.D0", at_s=100.0),)
 
-    def test_open_interval_folded_at_horizon(self, workload, spec):
+    def test_open_interval_folded_at_horizon(self, workload, spec, monkeypatch):
         """A permanently dead drive's downtime is charged up to the horizon
         (open interval folded in finalize())."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         session = _session(workload, spec)
         result = session.open(
             faults=(DriveFailure("L0.D0", at_s=100.0),)

@@ -180,13 +180,15 @@ class TestRepairWithRedundancy:
 class TestMediaLossWithoutRedundancy:
     @pytest.fixture(scope="class")
     def r1_run(self):
-        workload = _workload()
-        session = _session(workload)
-        tape = _busiest_tape(session)
-        result = session.open(
-            faults=(TapeFailure(str(tape.id), at_s=100.0),),
-        ).run(120.0, num_arrivals=20, seed=3)
-        return session, tape, result
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
+            workload = _workload()
+            session = _session(workload)
+            tape = _busiest_tape(session)
+            result = session.open(
+                faults=(TapeFailure(str(tape.id), at_s=100.0),),
+            ).run(120.0, num_arrivals=20, seed=3)
+            return session, tape, result
 
     def test_objects_lost_counted(self, r1_run):
         _, tape, result = r1_run

@@ -136,7 +136,8 @@ class TestSessionMechanics:
         result = session.evaluate(num_samples=5, warmup=3, seed=2)
         assert len(result) == 5
 
-    def test_trace_collects_spans(self, workload, spec):
+    def test_trace_collects_spans(self, workload, spec, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         session = SimulationSession(
             workload, spec, scheme=ObjectProbabilityPlacement(), trace=True
         )

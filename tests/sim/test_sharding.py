@@ -79,11 +79,15 @@ def _span_multiset(result):
 class TestShardedParity:
     @pytest.fixture(scope="class")
     def single(self):
-        return _run(shard_workers=1)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
+            return _run(shard_workers=1)
 
     @pytest.fixture(scope="class")
     def sharded(self):
-        return _run(shard_workers=4)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
+            return _run(shard_workers=4)
 
     def test_workload_exercises_switches(self, single):
         assert sum(m.num_switches for m in single.metrics) > 0

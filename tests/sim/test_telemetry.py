@@ -41,7 +41,8 @@ def _run(workload, spec, policy, rate=120.0, n=20, seed=4, **kwargs):
 
 class TestRoundTrip:
     @pytest.mark.parametrize("policy", ["serial-fcfs", "concurrent"])
-    def test_reimported_trace_reproduces_metrics(self, workload, spec, policy):
+    def test_reimported_trace_reproduces_metrics(self, workload, spec, policy, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         result = _run(workload, spec, policy)
         doc = result.to_chrome_trace()
         assert validate_chrome_trace(doc) == []
@@ -56,7 +57,8 @@ class TestRoundTrip:
             assert attribution.transfer_s == pytest.approx(metrics.transfer_s, abs=1e-6)
             assert attribution.switch_s == pytest.approx(metrics.switch_s, abs=1e-6)
 
-    def test_stage_report_agrees_with_evaluation_aggregates(self, workload, spec):
+    def test_stage_report_agrees_with_evaluation_aggregates(self, workload, spec, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         result = _run(workload, spec, "concurrent")
         report = result.stage_report()
         ev = EvaluationResult(scheme=result.scheme, samples=result.metrics)
@@ -72,7 +74,8 @@ class TestRoundTrip:
 
 
 class TestSpanTree:
-    def test_every_request_has_a_rooted_tree(self, workload, spec):
+    def test_every_request_has_a_rooted_tree(self, workload, spec, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
         result = _run(workload, spec, "concurrent")
         trace = result.trace
         by_id = trace.by_id()
@@ -112,10 +115,12 @@ class TestSpanTree:
 class TestFailureTelemetry:
     @pytest.fixture(scope="class")
     def failed_run(self):
-        wl, sp = _workload(), _spec()
-        healthy = _run(wl, sp, "concurrent")
-        failures = {"L0.D0": healthy.horizon_s / 4, "L0.D1": healthy.horizon_s / 2}
-        return _run(wl, sp, "concurrent", failures=failures)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
+            wl, sp = _workload(), _spec()
+            healthy = _run(wl, sp, "concurrent")
+            failures = {"L0.D0": healthy.horizon_s / 4, "L0.D1": healthy.horizon_s / 2}
+            return _run(wl, sp, "concurrent", failures=failures)
 
     def test_spans_close_exactly_once_under_failures(self, failed_run):
         ids = [s.span_id for s in failed_run.trace]
