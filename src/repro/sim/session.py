@@ -189,7 +189,7 @@ class SimulationSession:
         """Restore the freshly-placed state (initial mounts, heads at BOT).
 
         Always rewrites the layouts and rebuilds the location index, after
-        :meth:`serve`, :meth:`fail_drives` or :meth:`open` alike.
+        :meth:`serve`, :meth:`fail_drives` or an open-system run alike.
         """
         self.index = self.placement.apply_to(self.system)
         self._as_placed = True
@@ -207,7 +207,7 @@ class SimulationSession:
         mounted switching tapes / head positions to steady state).
 
         ``reset=True`` starts from the freshly placed state.  A session that
-        has served nothing, failed no drive and opened no open system since
+        has served nothing, failed no drive and run no open system since
         construction or its last :meth:`reset` is already there, so the
         layouts and location index are not built a second time.
         """

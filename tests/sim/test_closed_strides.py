@@ -262,9 +262,9 @@ class TestTieRule:
         assert str(drives[1].mounted.id) == "L0.T1"
         assert metrics.num_switches == 1
 
-    def test_per_step_order_followed_the_last_scheduled_step(self):
-        """The rule this replaced: D1's last step was scheduled first (t=0
-        against D0's t=10), so D1 acted first and pulled the tape."""
+    def test_per_step_order_follows_the_last_scheduled_step(self):
+        """Per-step service orders the tie by each drive's last step: D1's
+        was scheduled first (t=0 against D0's t=10), so D1 pulls the tape."""
         system, index = _tie_system()
         with _per_step():
             metrics = simulate_request(system, index, self.REQUEST)
