@@ -33,8 +33,6 @@ from pathlib import Path
 from statistics import median
 from timeit import timeit
 
-import pytest
-
 from repro.des import Environment, Trace
 
 BENCH_KERNEL_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
@@ -353,156 +351,52 @@ def test_seek_planner_gate(settings, timed_open_run, quick):
 
 
 # ---------------------------------------------------------------------------
-# ISSUE 10: kernel scale-out — calendar-queue scheduler + library shards.
-
-#: Hold-model floor: calendar queue vs heapq through the *generic*
-#: scheduler interface at a 10-library-scale pending population (always
-#: asserted at full scale regardless of core count; quick mode warns).
-CALENDAR_SPEEDUP_FLOOR = 1.2
-#: Shard-speedup floor at ``shard_workers=4`` (asserted on >= 4 cores
-#: only, mirroring ``bench_sweep_parallel.py``; recorded regardless).
-SHARD_SPEEDUP_FLOOR = 1.5
-#: Steady-state pending-event population of the hold model.  Chosen well
-#: past the measured crossover (~300-400k on the dev runner) where the
-#: heap's O(log n) sift — by then memory-bound on a ~20-level pointer
-#: chase — falls behind the calendar queue's O(1) bucket hop: the regime
-#: a 10-library multi-million-request run lives in.  At 600k the ratio
-#: still swings across the floor between process invocations (0.98-1.40x
-#: measured); at 2M it holds 1.34-1.50x.  Deliberately NOT shrunk in
-#: quick mode: a small population would flip the winner and make the
-#: smoke run assert the opposite regime.
-HOLD_POPULATION = 2_000_000
-
-
-def _hold_model_rate(scheduler_cls, population, increments, seed=20060814):
-    """Classic hold-model ops/sec: pop the minimum, push it back one
-    exponential step later, at a steady ``population`` pending entries.
-
-    Both schedulers run through ``type(sched).push/pop`` — the exact call
-    shape of the environment's generic (non-heap) run loop — over
-    identical preloaded entries and identical precomputed increments, so
-    the ratio isolates scheduler data-structure cost.
-    """
-    import random
-    from time import perf_counter
-
-    rng = random.Random(seed)
-    sched = scheduler_cls()
-    push = type(sched).push
-    pop = type(sched).pop
-    eid = 0
-    for _ in range(population):
-        push(sched, (rng.random() * population, 1, eid, None))
-        eid += 1
-    start = perf_counter()
-    for inc in increments:
-        item = pop(sched)
-        push(sched, (item[0] + inc, 1, eid, None))
-        eid += 1
-    return len(increments) / (perf_counter() - start)
+# Kernel scale-out record: one 10-library open-system stream end to end.
 
 
 def test_kernel_scale_gate(settings, quick):
-    """10-library scale-out gates, merged into ``BENCH_kernel.json``.
+    """Record one 10-library arrival stream end to end in ``BENCH_kernel.json``.
 
-    Three measurements: (1) hold-model throughput of calendar vs heapq at
-    a large pending population (the asserted ``>= 1.2x`` scheduler gate —
-    best-of-N interleaved rounds, since single-shot ratios on a shared
-    runner swing by tens of percent); (2) one identical 10-library arrival
-    stream end-to-end under each scheduler (recorded, plus a projected
-    10M-request wall time); (3) the same stream at ``shard_workers=4``
-    vs 1 (``>= 1.5x`` gate on >= 4-core hosts, recorded elsewhere).
+    The wall time, event count and events/s of a single-environment run
+    (plus a projected 10M-request wall time at the same events-per-request
+    density) are recorded, not gated: the asserted kernel floors are
+    ``SEED_EVENTS_PER_S`` and ``SPEEDUP_FLOOR`` above.
     """
     import os
-    import random
     from time import perf_counter
 
-    from repro.des import CalendarQueue, HeapScheduler
     from repro.experiments import paper_workload
     from repro.placement import ParallelBatchPlacement
     from repro.sim import SimulationSession
 
-    cpu_count = os.cpu_count() or 1
-
-    # -- (1) hold-model scheduler gate ------------------------------------
-    hold_ops = 20_000 if quick else 100_000
-    hold_rounds = 1 if quick else 3
-    rng = random.Random(7)
-    increments = [rng.expovariate(1.0) for _ in range(hold_ops)]
-    best = {"heapq": 0.0, "calendar": 0.0}
-    for _ in range(hold_rounds):
-        for name, cls in (("heapq", HeapScheduler), ("calendar", CalendarQueue)):
-            best[name] = max(
-                best[name], _hold_model_rate(cls, HOLD_POPULATION, increments)
-            )
-    hold_ratio = best["calendar"] / best["heapq"]
-
-    # -- (2) end-to-end 10-library run per scheduler ----------------------
     rate, arrivals = 60.0, (40 if quick else 200)
     workload = paper_workload(settings)
     spec = settings.spec(num_libraries=10)
     session = SimulationSession(
         workload, spec, scheme=ParallelBatchPlacement(m=settings.m)
     )
+    opensys = session.open(policy="concurrent")
+    start = perf_counter()
+    result = opensys.run(rate, num_arrivals=arrivals, seed=settings.eval_seed)
+    wall_s = perf_counter() - start
+    events = opensys.env.events_processed
+    events_per_s = events / wall_s
 
-    def timed_run(scheduler=None, shard_workers=1):
-        opensys = session.open(
-            policy="concurrent", scheduler=scheduler, shard_workers=shard_workers
-        )
-        start = perf_counter()
-        result = opensys.run(rate, num_arrivals=arrivals, seed=settings.eval_seed)
-        return perf_counter() - start, opensys.env.events_processed, result
-
-    e2e = {}
-    results = {}
-    for name in ("heapq", "calendar"):
-        wall_s, events, result = timed_run(scheduler=name)
-        results[name] = result
-        events_per_s = events / wall_s
-        e2e[name] = {
+    payload = {
+        "scale": settings.scale,
+        "cpu_count": os.cpu_count() or 1,
+        "ten_library_open": {
+            "rate_per_hour": rate,
+            "num_arrivals": arrivals,
             "wall_s": round(wall_s, 4),
             "events_processed": events,
             "events_per_s": round(events_per_s),
             "mean_sojourn_s": round(result.mean_sojourn_s, 3),
-            # Serial extrapolation to the ROADMAP's 10M-request target at
-            # this events-per-request density.
+            # Serial extrapolation to a 10M-request stream at this
+            # events-per-request density.
             "projected_10m_requests_min": round(
                 10e6 * (events / arrivals) / events_per_s / 60.0, 1
             ),
-        }
-
-    # -- (3) shard speedup at shard_workers=4 -----------------------------
-    serial_wall, serial_events, serial_result = timed_run(shard_workers=1)
-    sharded_wall, sharded_events, sharded_result = timed_run(shard_workers=4)
-    shard_speedup = serial_wall / sharded_wall
-
-    payload = {
-        "scale": settings.scale,
-        "cpu_count": cpu_count,
-        "hold_model": {
-            "population": HOLD_POPULATION,
-            "ops": hold_ops,
-            "rounds": hold_rounds,
-            "heapq_ops_per_s": round(best["heapq"]),
-            "calendar_ops_per_s": round(best["calendar"]),
-            "calendar_speedup": round(hold_ratio, 3),
-            "floor": CALENDAR_SPEEDUP_FLOOR,
-        },
-        "ten_library_open": {
-            "rate_per_hour": rate,
-            "num_arrivals": arrivals,
-            "schedulers": e2e,
-        },
-        "shards": {
-            "serial_wall_s": round(serial_wall, 4),
-            "shard_workers_4_wall_s": round(sharded_wall, 4),
-            "serial_events": serial_events,
-            # Every shard re-derives the full arrival stream, so the
-            # summed shard total exceeds the single-clock event count.
-            "shard_events_total": sharded_events,
-            "speedup": round(shard_speedup, 3),
-            "floor": SHARD_SPEEDUP_FLOOR,
-            "floor_asserted": cpu_count >= 4,
         },
     }
     data = {}
@@ -512,33 +406,4 @@ def test_kernel_scale_gate(settings, quick):
     BENCH_KERNEL_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"\n{json.dumps(payload, indent=2)}\nmerged into {BENCH_KERNEL_PATH}")
 
-    # Scheduler choice and shard count are pure throughput knobs: the
-    # simulations themselves must be bit-identical.
-    assert results["heapq"].mean_sojourn_s == results["calendar"].mean_sojourn_s
-    assert e2e["heapq"]["events_processed"] == e2e["calendar"]["events_processed"]
-    # Shards re-derive the full arrival stream each, so summed shard
-    # events exceed the single-clock count — identity is on the results.
-    assert serial_result.mean_sojourn_s == sharded_result.mean_sojourn_s
-
-    msg = (
-        f"calendar queue only {hold_ratio:.2f}x over heapq at a "
-        f"{HOLD_POPULATION:,}-event pending population "
-        f"(floor {CALENDAR_SPEEDUP_FLOOR}x)"
-    )
-    if quick:
-        if hold_ratio < CALENDAR_SPEEDUP_FLOOR:
-            warnings.warn(msg, stacklevel=1)
-    else:
-        assert hold_ratio >= CALENDAR_SPEEDUP_FLOOR, msg
-
-    if cpu_count >= 4:
-        assert shard_speedup >= SHARD_SPEEDUP_FLOOR, (
-            f"shard_workers=4 only {shard_speedup:.2f}x over serial on "
-            f"{cpu_count} cores (floor {SHARD_SPEEDUP_FLOOR}x)"
-        )
-    else:
-        pytest.skip(
-            f"only {cpu_count} core(s): recorded shard speedup "
-            f"{shard_speedup:.2f}x, {SHARD_SPEEDUP_FLOOR}x criterion "
-            "needs >= 4 cores"
-        )
+    assert len(result) == arrivals

@@ -194,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_seek_planner_arg(sw)
     _add_redundancy_arg(sw)
-    _add_shard_workers_arg(sw)
     _add_settings_args(sw)
 
     run = sub.add_parser("run", help="evaluate one scheme on one configuration")
@@ -239,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_media_fault_args(op)
     _add_seek_planner_arg(op)
     _add_redundancy_arg(op)
-    _add_scheduler_arg(op)
-    _add_shard_workers_arg(op)
     _add_settings_args(op)
 
     ch = sub.add_parser(
@@ -335,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         "drives-down timeline (default: 300 when --report is set)",
     )
     _add_redundancy_arg(ch)
-    _add_scheduler_arg(ch)
-    _add_shard_workers_arg(ch)
     _add_settings_args(ch)
 
     tr = sub.add_parser(
@@ -528,32 +523,6 @@ def _add_seek_planner_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shard_workers_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run one DES environment per library shard in N forked "
-        "workers when the configuration permits (default: "
-        "$REPRO_SHARD_WORKERS, else 1 = single environment; results are "
-        "bit-identical either way, see docs/performance.md)",
-    )
-
-
-def _add_scheduler_arg(parser: argparse.ArgumentParser) -> None:
-    from .des import SCHEDULERS
-
-    parser.add_argument(
-        "--scheduler",
-        default=None,
-        choices=sorted(SCHEDULERS),
-        help="kernel event-scheduler implementation (default: "
-        "$REPRO_SCHEDULER, else heapq; a pure throughput knob — pop order "
-        "and results are bit-identical)",
-    )
-
-
 def _add_media_fault_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fail-tape",
@@ -676,7 +645,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_dir=cache_dir,
         refresh=args.refresh,
-        shard_workers=_check_shard_workers(getattr(args, "shard_workers", None)),
         feed=feed,
         on_feed=on_feed,
     )
@@ -827,51 +795,24 @@ def _check_fault_ids(session, drive_failures: dict, tape_failures: dict) -> None
         raise SystemExit(2)
 
 
-def _check_shard_workers(
-    value: Optional[int], num_libraries: Optional[int] = None
-) -> int:
-    """Validate ``--shard-workers`` / ``$REPRO_SHARD_WORKERS``.
+def _cmd_open(args: argparse.Namespace) -> int:
+    from .experiments import paper_workload
+    from .sim.opensystem import SCHEDULING_POLICIES
 
-    A non-positive (or non-integer env) count exits 2 (usage error)
-    *before* any simulation starts, matching the ``--fail`` /
-    ``--fail-tape`` id checks.  Requesting more shards than the
-    configuration has libraries is legal — the sharding layer caps at one
-    library per shard — but almost certainly not what the user meant, so
-    it warns.
-    """
-    import os
-
-    if value is None:
-        raw = os.environ.get("REPRO_SHARD_WORKERS", "1") or "1"
-        try:
-            value = int(raw)
-        except ValueError:
-            print(
-                f"error: REPRO_SHARD_WORKERS must be an integer >= 1, "
-                f"got {raw!r}",
-                file=sys.stderr,
-            )
-            raise SystemExit(2) from None
-    if value < 1:
+    failures = _parse_fail_args(getattr(args, "fail", None))
+    tape_failures = _parse_fail_args(
+        getattr(args, "fail_tape", None), flag="--fail-tape", what="TAPE"
+    )
+    if (failures or tape_failures) and not getattr(
+        SCHEDULING_POLICIES[args.policy], "supports_faults", False
+    ):
+        # Reject before the workload and placement are built.
+        flag = "--fail" if failures else "--fail-tape"
         print(
-            f"error: --shard-workers must be >= 1, got {value}",
+            f"error: {flag} requires --policy concurrent, not {args.policy!r}",
             file=sys.stderr,
         )
         raise SystemExit(2)
-    if num_libraries is not None and value > num_libraries:
-        logger.warning(
-            "--shard-workers %d exceeds the %d configured librar%s; "
-            "capping at one shard per library",
-            value,
-            num_libraries,
-            "y" if num_libraries == 1 else "ies",
-        )
-    return value
-
-
-def _cmd_open(args: argparse.Namespace) -> int:
-    from .experiments import paper_workload
-
     settings = _settings(args)
     workload = paper_workload(settings)
     spec = settings.spec()
@@ -882,14 +823,7 @@ def _cmd_open(args: argparse.Namespace) -> int:
 
         scheme = wrap_scheme(scheme, args.redundancy)
     session = SimulationSession(workload, spec, scheme=scheme)
-    failures = _parse_fail_args(getattr(args, "fail", None))
-    tape_failures = _parse_fail_args(
-        getattr(args, "fail_tape", None), flag="--fail-tape", what="TAPE"
-    )
     _check_fault_ids(session, failures, tape_failures)
-    shard_workers = _check_shard_workers(
-        getattr(args, "shard_workers", None), spec.num_libraries
-    )
     faults = None
     if tape_failures:
         from .sim import TapeFailure
@@ -905,8 +839,6 @@ def _cmd_open(args: argparse.Namespace) -> int:
         seek_planner=args.seek_planner,
         repair_policy=args.repair_policy,
         read_selection=args.read_selection or "least-loaded",
-        scheduler=getattr(args, "scheduler", None),
-        shard_workers=shard_workers,
     )
     result = opensys.run(args.rate, num_arrivals=args.arrivals, seed=args.seed)
     print(f"policy:            {result.policy}")
@@ -986,9 +918,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         getattr(args, "fail_tape", None), flag="--fail-tape", what="TAPE"
     )
     _check_fault_ids(session, failures, tape_failures)
-    shard_workers = _check_shard_workers(
-        getattr(args, "shard_workers", None), spec.num_libraries
-    )
     for tape, at_s in sorted(tape_failures.items()):
         faults.append(TapeFailure(tape, at_s=at_s))
     fault_seed = args.fault_seed if args.fault_seed is not None else args.seed
@@ -1002,8 +931,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         fault_seed=fault_seed,
         repair_policy=args.repair_policy,
         read_selection=args.read_selection or "least-loaded",
-        scheduler=getattr(args, "scheduler", None),
-        shard_workers=shard_workers,
     ).run(
         args.rate,
         num_arrivals=args.arrivals,

@@ -13,17 +13,11 @@ from .exceptions import EmptySchedule, Interrupt, SimulationError
 from .monitor import ResourceUsageMonitor, Span, SpanContext, Trace, trace_enabled_by_env
 from .process import Process
 from .resources import PriorityResource, ReleaseEvent, RequestEvent, Resource
-from .scheduler import SCHEDULERS, CalendarQueue, EventScheduler, HeapScheduler, resolve_scheduler
 from .stores import Container, PriorityItem, PriorityStore, Store
 
 __all__ = [
     "Environment",
     "Infinity",
-    "EventScheduler",
-    "HeapScheduler",
-    "CalendarQueue",
-    "SCHEDULERS",
-    "resolve_scheduler",
     "Event",
     "Timeout",
     "Condition",

@@ -29,7 +29,6 @@ from typing import Any, Iterable, List, Optional, Tuple
 from .events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
 from .exceptions import EmptySchedule, SimulationError, StopSimulation
 from .process import Process, ProcessGenerator
-from .scheduler import EventScheduler, HeapScheduler, resolve_scheduler
 
 __all__ = ["Environment", "Infinity"]
 
@@ -43,31 +42,13 @@ class Environment:
     ----------
     initial_time:
         Starting value of the simulation clock (default 0).
-    scheduler:
-        Event-scheduler selection: a name from
-        :data:`repro.des.scheduler.SCHEDULERS` (``"heapq"``,
-        ``"calendar"``), an :class:`EventScheduler` instance, or ``None``
-        to consult ``REPRO_SCHEDULER`` (default ``heapq``).  Every
-        scheduler pops in the same (time, priority, eid) order, so the
-        choice affects throughput only — results are bit-identical.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: "str | EventScheduler | None" = None,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        sched = resolve_scheduler(scheduler)
-        self.scheduler = sched
-        #: The heap scheduler is special-cased: the environment operates on
-        #: its raw ``items`` list with inline ``heappush``/``heappop``,
-        #: preserving the pre-pluggable fast path byte for byte.  Any other
-        #: scheduler goes through the :class:`EventScheduler` interface.
-        self._heapmode = type(sched) is HeapScheduler
-        self._queue: List[Tuple[float, int, int, Event]] = (
-            sched.items if self._heapmode else None  # type: ignore[assignment]
-        )
+        #: Binary heap of ``(time, priority, eid, event)`` entries, pushed
+        #: and popped with inline ``heappush``/``heappop``.
+        self._queue: List[Tuple[float, int, int, Event]] = []
         #: Monotonic schedule tiebreaker.  A plain int incremented inline is
         #: measurably cheaper than ``next(itertools.count())`` on the hot
         #: path while producing the exact same (time, priority, eid) order.
@@ -89,12 +70,10 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
-        if self._heapmode:
-            return self._queue[0][0] if self._queue else Infinity
-        return self.scheduler.peek_time()
+        return self._queue[0][0] if self._queue else Infinity
 
     def __len__(self) -> int:
-        return len(self._queue) if self._heapmode else len(self.scheduler)
+        return len(self._queue)
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -121,10 +100,7 @@ class Environment:
         t._delay = delay
         eid = self._eid
         self._eid = eid + 1
-        if self._heapmode:
-            heappush(self._queue, (self._now + delay, NORMAL, eid, t))
-        else:
-            self.scheduler.push((self._now + delay, NORMAL, eid, t))
+        heappush(self._queue, (self._now + delay, NORMAL, eid, t))
         return t
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
@@ -147,10 +123,7 @@ class Environment:
         t._delay = when - self._now
         eid = self._eid
         self._eid = eid + 1
-        if self._heapmode:
-            heappush(self._queue, (when, NORMAL, eid, t))
-        else:
-            self.scheduler.push((when, NORMAL, eid, t))
+        heappush(self._queue, (when, NORMAL, eid, t))
         return t
 
     def process(self, generator: ProcessGenerator) -> Process:
@@ -170,10 +143,7 @@ class Environment:
         """Put ``event`` on the schedule ``delay`` time units from now."""
         eid = self._eid
         self._eid = eid + 1
-        if self._heapmode:
-            heappush(self._queue, (self._now + delay, priority, eid, event))
-        else:
-            self.scheduler.push((self._now + delay, priority, eid, event))
+        heappush(self._queue, (self._now + delay, priority, eid, event))
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -184,10 +154,7 @@ class Environment:
             If no events remain.
         """
         try:
-            if self._heapmode:
-                self._now, _, _, event = heappop(self._queue)
-            else:
-                self._now, _, _, event = self.scheduler.pop()
+            self._now, _, _, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no scheduled events left") from None
 
@@ -230,10 +197,7 @@ class Environment:
             stop.callbacks = [_stop_simulation]
             eid = self._eid
             self._eid = eid + 1
-            if self._heapmode:
-                heappush(self._queue, (at, URGENT, eid, stop))
-            else:
-                self.scheduler.push((at, URGENT, eid, stop))
+            heappush(self._queue, (at, URGENT, eid, stop))
 
         # Inlined event loop: ``step()`` stays the single-step public API,
         # but calling it per event costs a method dispatch plus an
@@ -252,15 +216,8 @@ class Environment:
         # paper scale with tracing enabled.  Collection is re-enabled (and
         # the deferred work happens on CPython's own schedule) on every exit
         # path; a caller that already disabled GC keeps it disabled.
-        # Either way the loop body below is ``pop(queue)``: in heap mode the
-        # queue is the raw list and pop is C ``heappop``; otherwise the
-        # queue is the scheduler instance and pop its unbound ``pop``.
-        if self._heapmode:
-            queue = self._queue
-            pop = heappop
-        else:
-            queue = self.scheduler
-            pop = type(self.scheduler).pop
+        queue = self._queue
+        pop = heappop
         processed = 0
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:

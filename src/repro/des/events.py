@@ -11,9 +11,7 @@ through three states:
 Triggered events are ordered by the ``(time, priority, eid)`` key the
 environment assigns at schedule time: ties on time break on priority
 (:data:`URGENT` before :data:`NORMAL`) and then FIFO on the monotonically
-increasing event id.  Every pluggable scheduler
-(:mod:`repro.des.scheduler`) must honour this total order exactly — it is
-what makes scheduler choice invisible to simulation results.
+increasing event id.
 
 This mirrors the SimPy event model closely so that simulation code written
 against one transfers to the other, but the implementation here is

@@ -74,7 +74,6 @@ __all__ = [
     "point_label",
     "run_sweep",
     "resolve_workers",
-    "resolve_shard_workers",
 ]
 
 #: Hashable ``(key, value)`` pairs standing in for a kwargs dict.
@@ -256,12 +255,7 @@ def evaluate_point(point: PointSpec, seed: int):
             reset=not point.failed_drives,
         )
     if point.kind == "open":
-        # Sharding is execution configuration, never point identity: the
-        # results are invariant to it, so it rides in via the environment
-        # (``$REPRO_SHARD_WORKERS``) and stays out of the cache key.
-        opensys = session.open(
-            policy=run_kwargs["policy"], shard_workers=resolve_shard_workers()
-        )
+        opensys = session.open(policy=run_kwargs["policy"])
         _wire_progress(opensys, point)
         return opensys.run(
             run_kwargs["rate_per_hour"],
@@ -298,7 +292,7 @@ def evaluate_point(point: PointSpec, seed: int):
             open_kwargs["read_selection"] = run_kwargs["read_selection"]
         opensys = session.open(
             policy=run_kwargs["policy"], faults=faults, fault_seed=fault_seed,
-            shard_workers=resolve_shard_workers(), **open_kwargs,
+            **open_kwargs,
         )
         _wire_progress(opensys, point)
         return opensys.run(
@@ -475,22 +469,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-def resolve_shard_workers(shard_workers: Optional[int] = None) -> int:
-    """Explicit argument, else ``$REPRO_SHARD_WORKERS``, else 1 (unsharded).
-
-    Governs per-library DES sharding *inside* each open/chaos point (see
-    :mod:`repro.sim.sharding`) — orthogonal to ``workers``, which fans
-    points out across processes.  Deliberately absent from
-    :meth:`PointSpec.cache_key`: sharded and unsharded evaluations of the
-    same point produce identical results, so they share cache entries.
-    """
-    if shard_workers is None:
-        shard_workers = int(os.environ.get("REPRO_SHARD_WORKERS", "1") or "1")
-    if shard_workers < 1:
-        raise ValueError(f"shard_workers must be >= 1, got {shard_workers}")
-    return shard_workers
-
-
 @dataclass(frozen=True)
 class EngineOptions:
     """How a sweep executes — never *what* it computes.
@@ -501,16 +479,12 @@ class EngineOptions:
     but still stores fresh results.  ``feed``/``on_feed`` arm the live
     telemetry stream for callers (like the CLI) that reach
     :func:`run_sweep` through an experiment wrapper and cannot pass the
-    feed positionally.  ``shard_workers=None`` defers to
-    ``$REPRO_SHARD_WORKERS`` (default 1, unsharded); like ``workers`` it
-    is execution configuration only — point results and cache keys are
-    invariant to it.
+    feed positionally.
     """
 
     workers: Optional[int] = None
     cache_dir: Optional[str] = None
     refresh: bool = False
-    shard_workers: Optional[int] = None
     feed: Optional["FleetFeed"] = field(default=None, compare=False, repr=False)
     on_feed: Optional[Callable[[Dict[str, Any]], None]] = field(
         default=None, compare=False, repr=False
@@ -600,7 +574,6 @@ def run_sweep(
     if on_feed is None:
         on_feed = options.on_feed
     workers = resolve_workers(options.workers)
-    shard_workers = resolve_shard_workers(options.shard_workers)
     registry = registry if registry is not None else MetricsRegistry()
     cache = ResultCache(options.cache_dir) if options.cache_dir else None
     cache_root = str(cache.root) if cache is not None else None
@@ -622,18 +595,7 @@ def run_sweep(
         for point, seed in jobs
     ]
 
-    # The shard count travels to pool workers (and the serial path) via
-    # the environment so _Task payloads — and with them cache keys —
-    # never carry it.
-    previous_shards = os.environ.get("REPRO_SHARD_WORKERS")
-    os.environ["REPRO_SHARD_WORKERS"] = str(shard_workers)
-    try:
-        outputs, fallback = _execute(tasks, workers, feed=feed, on_feed=on_feed)
-    finally:
-        if previous_shards is None:
-            os.environ.pop("REPRO_SHARD_WORKERS", None)
-        else:
-            os.environ["REPRO_SHARD_WORKERS"] = previous_shards
+    outputs, fallback = _execute(tasks, workers, feed=feed, on_feed=on_feed)
 
     fleet = FleetRegistry()
     results: List[PointResult] = []
@@ -653,7 +615,6 @@ def run_sweep(
         "cache_hits": sum(1 for r in results if r.cached),
         "cache_misses": sum(1 for r in results if not r.cached),
         "workers": workers,
-        "shard_workers": shard_workers,
         "wall_s": wall_s,
         "points_per_s": len(jobs) / wall_s if wall_s > 0 else float("inf"),
         "cache_dir": cache_root,

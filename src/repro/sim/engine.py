@@ -210,7 +210,6 @@ def simulate_request(
     replacement_policy: str = "least_popular",
     failures: Optional[Mapping[str, float]] = None,
     seek_planner: Union[None, str, SeekPlanner] = None,
-    scheduler=None,
 ) -> RequestMetrics:
     """Serve ``request`` on ``system``; returns its metrics.
 
@@ -234,13 +233,8 @@ def simulate_request(
     the leftover work re-queues for the library's surviving switch drives
     — the response time grows accordingly.  All requested bytes are still
     delivered unless a library has *no* surviving switchable drive.
-
-    ``scheduler`` selects the kernel's event scheduler (see
-    :mod:`repro.des.scheduler`); closed-loop environments hold few pending
-    events, so the default heap is effectively always right — the knob
-    exists so ``REPRO_SCHEDULER`` governs every environment uniformly.
     """
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     # Optional disk-stage admission control (spec.disk_bandwidth_mb_s):
     # at most `disk_streams` drives may stream to the staging disks at once.
     streams = system.spec.disk_streams

@@ -38,7 +38,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from ..catalog import Request
-from ..des import Environment, Event, EventScheduler, Interrupt, Resource, ResourceUsageMonitor, Trace
+from ..des import Environment, Event, Interrupt, Resource, ResourceUsageMonitor, Trace
 from ..hardware import ObjectExtent, TapeDrive, TapeLibrary, TapeId
 from ..obs import MetricsRegistry
 from ..redundancy.dispatch import count_fallbacks, select_members
@@ -417,12 +417,7 @@ class ConcurrentPolicy:
             by_library.setdefault(tape_id.library, []).append(
                 TapeJob(tape_id, sorted(extents, key=lambda e: e.start_mb))
             )
-        shard = os.shard_filter
         for library_id in sorted(by_library):
-            if shard is not None and library_id not in shard:
-                # Another shard owns this library: its jobs run there, on an
-                # identical clock fed by the identical arrival stream.
-                continue
             library = os.system.libraries[library_id]
             tape_jobs = by_library[library_id]
             # Longest-processing-time first, as in the closed-loop planner.
@@ -490,22 +485,6 @@ class ConcurrentPolicy:
             )
         starts = [dj.started_at for dj in djobs if dj.started_at is not None]
         started = min(starts) if starts else env.now
-        capture = os._shard_capture
-        if capture is not None:
-            # Shard child: ship the local share of this token to the merge.
-            # start/finish are None (not degenerate arrival-time values)
-            # when no local library served it, so cross-shard min/max stay
-            # honest.
-            capture[trace_key] = (
-                request.id,
-                arrival_s,
-                total_mb,
-                len(jobs),
-                list(records.values()),
-                min(starts) if starts else None,
-                env.now if djobs else None,
-                aborted,
-            )
         record = QueuedRequestRecord(
             request_id=request.id,
             arrival_s=arrival_s,
@@ -1426,22 +1405,6 @@ class OpenSystem:
         How degraded reads pick their ``needed`` members: ``least-loaded``
         (the PR 8 default, bit-identical) or ``cheapest`` (mounted tape
         first, then lowest estimated job time).
-    scheduler:
-        Event-scheduler selection for the environment — a name from
-        :data:`repro.des.scheduler.SCHEDULERS` (``"heapq"``,
-        ``"calendar"``) or ``None`` to consult ``REPRO_SCHEDULER``.
-        Purely a throughput knob: every scheduler pops in the same total
-        order, so results are bit-identical.
-    shard_workers:
-        Run one DES environment per round-robin library shard in this
-        many forked workers (``concurrent`` policy, no faults, no
-        redundancy, no disk cap — see :mod:`repro.sim.sharding`; other
-        configurations warn and fall back).  ``1`` (the default) is
-        today's single-environment path, seed-for-seed.
-    shard_filter:
-        Internal — library ids this instance submits jobs for (shard
-        children only).  All other libraries' jobs are skipped while the
-        arrival stream and request bookkeeping stay identical.
     """
 
     def __init__(
@@ -1454,9 +1417,6 @@ class OpenSystem:
         seek_planner: Union[None, str, SeekPlanner] = None,
         repair_policy: Optional[str] = None,
         read_selection: str = "least-loaded",
-        scheduler: Union[None, str, EventScheduler] = None,
-        shard_workers: int = 1,
-        shard_filter: Optional[Tuple[int, ...]] = None,
     ) -> None:
         self.session = session
         self.system = session.system
@@ -1490,18 +1450,7 @@ class OpenSystem:
                 f"{policy!r} (it arms no recovery hooks between requests)"
             )
 
-        if int(shard_workers) != shard_workers or shard_workers < 1:
-            raise ValueError(f"shard_workers must be an integer >= 1, got {shard_workers}")
-        self.shard_workers = int(shard_workers)
-        #: Library ids this instance owns (shard children only; None = all).
-        self.shard_filter: Optional[frozenset] = (
-            frozenset(shard_filter) if shard_filter is not None else None
-        )
-        #: Shard children publish per-token payloads here for the merge
-        #: (:mod:`repro.sim.sharding`); None costs one check per request.
-        self._shard_capture: Optional[Dict[int, tuple]] = None
-        self.scheduler_spec = scheduler
-        self.env = Environment(scheduler=scheduler)
+        self.env = Environment()
         self._ran = False
         self._expected = 0
 
@@ -1598,16 +1547,6 @@ class OpenSystem:
             )
         if num_arrivals <= 0:
             raise ValueError(f"num_arrivals must be positive, got {num_arrivals}")
-        if self.shard_workers > 1 and self.shard_filter is None:
-            from .sharding import maybe_run_sharded
-
-            result = maybe_run_sharded(
-                self, arrival_rate_per_hour, num_arrivals, seed,
-                reset=reset, sample_period_s=sample_period_s,
-            )
-            if result is not None:
-                return result
-            # Unshardable configuration: warned, continue single-environment.
         # Pause automatic cyclic GC for the whole stream, not just the
         # inner ``env.run()`` loop (which pauses on its own and leaves a
         # pre-disabled GC alone): ``session.reset()`` and the setup /
@@ -1753,15 +1692,12 @@ def simulate_open_system(
     seek_planner: Union[None, str, SeekPlanner] = None,
     repair_policy: Optional[str] = None,
     read_selection: str = "least-loaded",
-    scheduler: Union[None, str, EventScheduler] = None,
-    shard_workers: int = 1,
 ) -> OpenSystemResult:
     """One-shot convenience: build an :class:`OpenSystem`, run one stream."""
     return OpenSystem(
         session, policy=policy, failures=failures, faults=faults,
         fault_seed=fault_seed, seek_planner=seek_planner,
         repair_policy=repair_policy, read_selection=read_selection,
-        scheduler=scheduler, shard_workers=shard_workers,
     ).run(
         arrival_rate_per_hour,
         num_arrivals=num_arrivals,

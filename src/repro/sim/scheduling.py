@@ -29,29 +29,7 @@ __all__ = [
     "LibraryPlan",
     "estimate_job_time",
     "build_library_plan",
-    "partition_libraries",
 ]
-
-
-def partition_libraries(num_libraries: int, num_shards: int) -> List[List[int]]:
-    """Round-robin library ids over ``num_shards`` DES shards.
-
-    Library ``j`` lands in shard ``j % num_shards``, so shard loads stay
-    balanced under the placement layer's id-ordered striping and the
-    assignment is a pure function of the two counts — sharded results can
-    never depend on discovery order.  Empty shards are never produced:
-    callers clamp ``num_shards`` to ``num_libraries`` first.
-    """
-    if num_libraries < 1:
-        raise ValueError(f"num_libraries must be >= 1, got {num_libraries}")
-    if not 1 <= num_shards <= num_libraries:
-        raise ValueError(
-            f"num_shards must be in [1, {num_libraries}], got {num_shards}"
-        )
-    shards: List[List[int]] = [[] for _ in range(num_shards)]
-    for library_id in range(num_libraries):
-        shards[library_id % num_shards].append(library_id)
-    return shards
 
 
 @dataclass

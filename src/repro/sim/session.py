@@ -100,8 +100,6 @@ class SimulationSession:
         seek_planner=None,
         repair_policy: Optional[str] = None,
         read_selection: str = "least-loaded",
-        scheduler=None,
-        shard_workers: int = 1,
     ):
         """Open-system serving: concurrent in-flight requests on one clock.
 
@@ -122,13 +120,6 @@ class SimulationSession:
         :data:`~repro.sim.repair.REPAIR_POLICIES`); ``read_selection``
         switches redundant reads between ``"least-loaded"`` (default)
         and ``"cheapest"`` member ordering.
-
-        ``scheduler`` picks the kernel's event scheduler (``"heapq"`` /
-        ``"calendar"`` — a pure throughput knob, results bit-identical);
-        ``shard_workers > 1`` runs one environment per library shard in
-        forked workers when the configuration permits (see
-        :mod:`repro.sim.sharding`), falling back — with a warning — to
-        the single-environment path when it doesn't.
         """
         from .opensystem import OpenSystem
 
@@ -136,7 +127,6 @@ class SimulationSession:
             self, policy=policy, failures=failures, faults=faults,
             fault_seed=fault_seed, seek_planner=seek_planner,
             repair_policy=repair_policy, read_selection=read_selection,
-            scheduler=scheduler, shard_workers=shard_workers,
         )
 
     def serve(self, request: Request, failures: Optional[dict] = None) -> RequestMetrics:

@@ -169,6 +169,27 @@ class TestFaultCommands:
         assert "unknown tape" in err
         assert "L0.T0" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--fail", "L0.D0=100"),
+        ("--fail-tape", "L0.T0=100"),
+    ])
+    def test_open_fault_flags_need_concurrent_policy(
+        self, capsys, monkeypatch, flag, value
+    ):
+        # An unsupported policy/fault combination is a usage error caught
+        # before the workload is generated or placed.
+        def no_workload(*args, **kwargs):
+            raise AssertionError("workload built before argument checks")
+
+        monkeypatch.setattr("repro.experiments.paper_workload", no_workload)
+        with pytest.raises(SystemExit) as exc:
+            main(["open", "--scale", "small", "--policy", "serial-fcfs",
+                  flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "requires --policy concurrent" in err
+        assert "Traceback" not in err
+
     def test_open_tape_loss_prints_repair_summary(self, capsys):
         rc = main(
             ["open", "--scale", "small", "--arrivals", "10",
@@ -392,61 +413,3 @@ class TestTelemetryCommands:
         assert main(["-q", "experiment", "fig9", "--scale", "small",
                      "--num-samples", "8", "--csv", str(csv)]) == 0
         assert "CSV written" not in capsys.readouterr().err
-
-
-class TestShardWorkersFlag:
-    """ISSUE 10 satellite: --shard-workers validation in the --fail-tape
-    style — usage errors exit 2 on stderr before any simulation."""
-
-    def test_open_rejects_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["open", "--scale", "small", "--shard-workers", "0"])
-        assert exc.value.code == 2
-        assert "--shard-workers must be >= 1" in capsys.readouterr().err
-
-    def test_chaos_rejects_negative(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["chaos", "--scale", "small", "--shard-workers", "-3"])
-        assert exc.value.code == 2
-        assert "--shard-workers must be >= 1" in capsys.readouterr().err
-
-    def test_sweep_rejects_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "fig5", "--scale", "small", "--no-cache",
-                  "--shard-workers", "0"])
-        assert exc.value.code == 2
-        assert "--shard-workers must be >= 1" in capsys.readouterr().err
-
-    def test_bad_env_var_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "many")
-        with pytest.raises(SystemExit) as exc:
-            main(["open", "--scale", "small", "--arrivals", "5"])
-        assert exc.value.code == 2
-        assert "REPRO_SHARD_WORKERS must be an integer" in capsys.readouterr().err
-
-    def test_more_shards_than_libraries_warns_but_runs(self, capsys):
-        rc = main(["open", "--scale", "small", "--arrivals", "5",
-                   "--shard-workers", "99"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "exceeds the 3 configured libraries" in captured.err
-        assert "mean sojourn:" in captured.out
-
-    def test_open_sharded_matches_unsharded(self, capsys):
-        assert main(["open", "--scale", "small", "--arrivals", "10"]) == 0
-        baseline = capsys.readouterr().out
-        assert main(["open", "--scale", "small", "--arrivals", "10",
-                     "--shard-workers", "2"]) == 0
-        assert capsys.readouterr().out == baseline
-
-    def test_open_calendar_scheduler_matches_heapq(self, capsys):
-        assert main(["open", "--scale", "small", "--arrivals", "10",
-                     "--scheduler", "heapq"]) == 0
-        baseline = capsys.readouterr().out
-        assert main(["open", "--scale", "small", "--arrivals", "10",
-                     "--scheduler", "calendar"]) == 0
-        assert capsys.readouterr().out == baseline
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["open", "--scale", "small", "--scheduler", "lifo"])

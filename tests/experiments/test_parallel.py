@@ -8,7 +8,6 @@ deliberately tiny workload.
 """
 
 import dataclasses
-import os
 import random
 
 import pytest
@@ -19,13 +18,12 @@ from repro.experiments.parallel import (
     SweepSpec,
     as_kwargs,
     evaluate_point,
-    resolve_shard_workers,
     resolve_workers,
     run_sweep,
     spawn_seed,
 )
 from repro.hardware import LibrarySpec, SystemSpec, TapeSpec
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, write_fleet_jsonl
 from repro.workload import WorkloadParams
 
 #: Tiny-but-structured sweep inputs: three schemes, two axis cells, small
@@ -447,25 +445,28 @@ class TestRedundancyPoints:
             evaluate_point(point, seed=5)
 
 
-class TestShardWorkers:
-    """Per-point DES sharding is execution configuration, never identity:
-    the same open point must produce bit-identical results and the same
-    cache key whether it runs unsharded or across library shards."""
+class TestOpenPointsAcrossWorkers:
+    """The process pool is the only parallel path for open-system points:
+    every open point must come back bit-identical whether it ran in-process
+    or in a pool worker."""
 
     def _open_sweep(self, root_seed=0):
-        point = PointSpec(
-            sweep="tiny-open",
-            axis="rate",
-            value=60.0,
-            scheme="object_probability",
-            workload=TINY_WORKLOAD,
-            spec=TINY_SPEC,
-            kind="open",
-            run_kwargs=as_kwargs(
-                policy="concurrent", rate_per_hour=60.0, num_arrivals=8
-            ),
+        points = tuple(
+            PointSpec(
+                sweep="tiny-open",
+                axis="rate",
+                value=rate,
+                scheme="object_probability",
+                workload=TINY_WORKLOAD,
+                spec=TINY_SPEC,
+                kind="open",
+                run_kwargs=as_kwargs(
+                    policy="concurrent", rate_per_hour=rate, num_arrivals=8
+                ),
+            )
+            for rate in (60.0, 120.0)
         )
-        return SweepSpec(name="tiny-open", points=(point,), root_seed=root_seed)
+        return SweepSpec(name="tiny-open", points=points, root_seed=root_seed)
 
     @staticmethod
     def _open_fingerprint(res):
@@ -477,46 +478,14 @@ class TestShardWorkers:
             for r in res
         }
 
-    def test_resolve_shard_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "3")
-        assert resolve_shard_workers() == 3
-        assert resolve_shard_workers(2) == 2  # explicit beats env
-        monkeypatch.delenv("REPRO_SHARD_WORKERS")
-        assert resolve_shard_workers() == 1
-        with pytest.raises(ValueError):
-            resolve_shard_workers(0)
-
-    def test_sweep_bit_identical_across_shard_counts(self):
-        unsharded = run_sweep(self._open_sweep(), EngineOptions(workers=1))
-        sharded = run_sweep(
-            self._open_sweep(), EngineOptions(workers=1, shard_workers=2)
-        )
-        assert self._open_fingerprint(sharded) == self._open_fingerprint(unsharded)
-        assert unsharded.stats["shard_workers"] == 1
-        assert sharded.stats["shard_workers"] == 2
-
-    def test_cache_key_excludes_shard_count(self, tmp_path, monkeypatch):
-        """A cache warmed unsharded must fully serve a sharded rerun."""
-        spec = self._open_sweep()
-        seed = spawn_seed(spec.root_seed, spec.points[0].group())
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-        key_sharded = spec.points[0].cache_key(seed)
-        monkeypatch.delenv("REPRO_SHARD_WORKERS")
-        assert spec.points[0].cache_key(seed) == key_sharded
-
-        warm = run_sweep(spec, EngineOptions(workers=1, cache_dir=str(tmp_path)))
-        rerun = run_sweep(
-            spec,
-            EngineOptions(workers=1, cache_dir=str(tmp_path), shard_workers=2),
-        )
-        assert warm.stats["cache_misses"] == 1
-        assert rerun.stats["cache_hits"] == 1
-        assert self._open_fingerprint(rerun) == self._open_fingerprint(warm)
-
-    def test_env_var_restored_after_sweep(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "7")
-        run_sweep(self._open_sweep(), EngineOptions(workers=1, shard_workers=2))
-        assert os.environ["REPRO_SHARD_WORKERS"] == "7"
-        monkeypatch.delenv("REPRO_SHARD_WORKERS")
-        run_sweep(self._open_sweep(), EngineOptions(workers=1, shard_workers=2))
-        assert "REPRO_SHARD_WORKERS" not in os.environ
+    def test_sweep_bit_identical_across_worker_counts(self, tmp_path):
+        serial = run_sweep(self._open_sweep(), EngineOptions(workers=1))
+        pooled = run_sweep(self._open_sweep(), EngineOptions(workers=2))
+        assert "fallback" not in pooled.stats
+        assert self._open_fingerprint(pooled) == self._open_fingerprint(serial)
+        assert all(r.result.records for r in serial)
+        write_fleet_jsonl(serial.fleet, tmp_path / "serial.jsonl")
+        write_fleet_jsonl(pooled.fleet, tmp_path / "pooled.jsonl")
+        assert (tmp_path / "pooled.jsonl").read_text() == (
+            tmp_path / "serial.jsonl"
+        ).read_text()
