@@ -235,14 +235,13 @@ EXACT_PLAN_CEILING_US = {8: 600.0, 32: 3_000.0, 128: 15_000.0}
 
 
 def _plan_prices(n_extents: int) -> dict:
-    """Per-call planning price (seconds) of every registered planner on one
+    """Per-call planning price (seconds) of both seek planners on one
     random ``n_extents``-extent batch over an affine-startup tape spec."""
     import dataclasses
     import random
 
-    from repro.hardware import SystemSpec
-    from repro.sim import available_seek_planners, make_seek_planner
-    from repro.sim.seekplan import ObjectExtent
+    from repro.hardware import ObjectExtent, SystemSpec
+    from repro.sim import available_seek_planners, resolve_seek_planner
 
     tape = dataclasses.replace(
         SystemSpec.table1().library.tape, locate_startup_s=4.0
@@ -255,7 +254,7 @@ def _plan_prices(n_extents: int) -> dict:
     number = max(20, 2_000 // n_extents)
     prices = {}
     for name in available_seek_planners():
-        planner = make_seek_planner(name)
+        planner = resolve_seek_planner(name)
         prices[name] = (
             min(
                 timeit(lambda: planner.plan(extents, 500.0, tape), number=number)
@@ -267,13 +266,13 @@ def _plan_prices(n_extents: int) -> dict:
 
 
 def test_seek_planner_gate(settings, timed_open_run, quick):
-    """The planner registry stays off the default hot path.
+    """Planner resolution stays off the default hot path.
 
     Three checks: (1) resolving no planner yields the shared greedy-sweep
     singleton, so the engine's per-visit planning cost is unchanged by the
-    registry indirection; (2) per-plan micro prices — greedy under the
+    resolution step; (2) per-plan micro prices — greedy under the
     hot-path ceiling, exact under its own (an O(n^2) sanity bound); (3) one
-    end-to-end run per registered planner on the identical arrival stream,
+    end-to-end run per planner on the identical arrival stream,
     recorded to ``BENCH_kernel.json`` (read-modify-write: the throughput
     gate above overwrites the file, so this test must merge, not write).
     """

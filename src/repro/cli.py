@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from typing import List, Optional
 
@@ -217,8 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     op.add_argument("--scheme", default="parallel_batch", choices=sorted(available_schemes()))
     op.add_argument("--m", type=int, default=4, help="switch drives per library (parallel_batch)")
-    op.add_argument("--rate", type=float, default=4.0, help="Poisson arrival rate per hour")
-    op.add_argument("--arrivals", type=int, default=60, help="number of arrivals to serve")
+    op.add_argument(
+        "--rate", type=_positive(float), default=4.0, help="Poisson arrival rate per hour"
+    )
+    op.add_argument(
+        "--arrivals", type=_positive(int), default=60, help="number of arrivals to serve"
+    )
     op.add_argument("--seed", type=int, default=0, help="arrival/sampling seed")
     op.add_argument(
         "--window",
@@ -264,8 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ch.add_argument("--scheme", default="parallel_batch", choices=sorted(available_schemes()))
     ch.add_argument("--m", type=int, default=4, help="switch drives per library (parallel_batch)")
-    ch.add_argument("--rate", type=float, default=8.0, help="Poisson arrival rate per hour")
-    ch.add_argument("--arrivals", type=int, default=60, help="number of arrivals to serve")
+    ch.add_argument(
+        "--rate", type=_positive(float), default=8.0, help="Poisson arrival rate per hour"
+    )
+    ch.add_argument(
+        "--arrivals", type=_positive(int), default=60, help="number of arrivals to serve"
+    )
     ch.add_argument("--seed", type=int, default=0, help="arrival/sampling seed")
     ch.add_argument(
         "--mtbf", type=float, default=4.0, metavar="HOURS",
@@ -353,8 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tr.add_argument("--scheme", default="parallel_batch", choices=sorted(available_schemes()))
     tr.add_argument("--m", type=int, default=4, help="switch drives per library (parallel_batch)")
-    tr.add_argument("--rate", type=float, default=8.0, help="Poisson arrival rate per hour")
-    tr.add_argument("--requests", type=int, default=50, help="number of arrivals to serve")
+    tr.add_argument(
+        "--rate", type=_positive(float), default=8.0, help="Poisson arrival rate per hour"
+    )
+    tr.add_argument(
+        "--requests", type=_positive(int), default=50, help="number of arrivals to serve"
+    )
     tr.add_argument("--seed", type=int, default=0, help="arrival/sampling seed")
     tr.add_argument(
         "--sample-period",
@@ -398,8 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pf.add_argument("--scheme", default="parallel_batch", choices=sorted(available_schemes()))
     pf.add_argument("--m", type=int, default=4, help="switch drives per library (parallel_batch)")
-    pf.add_argument("--rate", type=float, default=8.0, help="Poisson arrival rate per hour")
-    pf.add_argument("--arrivals", type=int, default=60, help="number of arrivals to serve")
+    pf.add_argument(
+        "--rate", type=_positive(float), default=8.0, help="Poisson arrival rate per hour"
+    )
+    pf.add_argument(
+        "--arrivals", type=_positive(int), default=60, help="number of arrivals to serve"
+    )
     pf.add_argument("--seed", type=int, default=0, help="arrival/sampling seed")
     pf.add_argument(
         "--top", type=int, default=25, metavar="N",
@@ -511,6 +528,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings_args(wl)
 
     return parser
+
+
+def _positive(convert):
+    """argparse ``type=``: ``convert`` the text, then require finite and > 0.
+
+    Arrival rates and counts are checked here so a bad value is a usage
+    error (exit 2) before any workload is generated or placed.
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number > 0, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
 
 
 def _add_seek_planner_arg(parser: argparse.ArgumentParser) -> None:
@@ -749,20 +785,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _parse_fail_args(
     pairs: Optional[List[str]], flag: str = "--fail", what: str = "DRIVE"
 ) -> dict:
-    """``["L0.D0=1800", ...]`` -> ``{"L0.D0": 1800.0, ...}``."""
+    """``["L0.D0=1800", ...]`` -> ``{"L0.D0": 1800.0, ...}``.
+
+    A malformed value is a usage error: one stderr line, exit 2.
+    """
     failures = {}
     for pair in pairs or []:
         name, sep, at_s = pair.partition("=")
         if not sep or not name:
-            raise SystemExit(
-                f"error: {flag} expects {what}=TIME, got {pair!r}"
-            )
-        try:
-            failures[name] = float(at_s)
-        except ValueError:
-            raise SystemExit(
-                f"error: {flag} time must be a number, got {pair!r}"
-            ) from None
+            problem = f"expects {what}=TIME"
+        else:
+            try:
+                at = float(at_s)
+            except ValueError:
+                at = math.nan
+            if math.isfinite(at) and at >= 0:
+                failures[name] = at
+                continue
+            problem = "time must be a number, finite and >= 0"
+        print(f"error: {flag} {problem}, got {pair!r}", file=sys.stderr)
+        raise SystemExit(2)
     return failures
 
 
@@ -887,6 +929,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .experiments import paper_workload
     from .sim import DriveFaultProcess, RetryPolicy, TapeFailure, TransientFaults
 
+    failures = _parse_fail_args(getattr(args, "fail", None))
+    tape_failures = _parse_fail_args(
+        getattr(args, "fail_tape", None), flag="--fail-tape", what="TAPE"
+    )
     settings = _settings(args)
     workload = paper_workload(settings)
     spec = settings.spec()
@@ -913,10 +959,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 retry=RetryPolicy(max_retries=args.retries),
             )
         )
-    failures = _parse_fail_args(getattr(args, "fail", None))
-    tape_failures = _parse_fail_args(
-        getattr(args, "fail_tape", None), flag="--fail-tape", what="TAPE"
-    )
     _check_fault_ids(session, failures, tape_failures)
     for tape, at_s in sorted(tape_failures.items()):
         faults.append(TapeFailure(tape, at_s=at_s))

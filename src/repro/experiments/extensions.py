@@ -1064,10 +1064,10 @@ def seek_planning(
     planners: Optional[Sequence[str]] = None,
     engine: Optional[EngineOptions] = None,
 ) -> ExperimentTable:
-    """E4 — per-planner sojourn time vs request batch size (LTSP family).
+    """E4 — greedy-sweep vs exact sojourn time vs request batch size (LTSP).
 
-    Every registered seek planner serves the *same* open-system arrival
-    stream (planners at one batch scale share the cell seed and the planner
+    Both seek planners serve the *same* open-system arrival stream
+    (planners at one batch scale share the cell seed and the planner
     name rides in each point's cache key, so cached cells never alias
     across planners).  The batch scale multiplies the workload's
     objects-per-request bounds: larger batches put more objects on each
@@ -1162,7 +1162,7 @@ def seek_planning(
     table.data["sweep"] = res.stats
     table.data["fleet"] = res.fleet
     table.notes.append(
-        "beyond-paper extension: pluggable LTSP seek planners "
+        "beyond-paper extension: paper sweep vs exact LTSP seek planner "
         "(repro.sim.seekplanner); planners at one cell share arrival "
         "streams, planner names participate in sweep-cache keys"
     )

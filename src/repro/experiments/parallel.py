@@ -127,8 +127,8 @@ class PointSpec:
     label: Optional[str] = None
     #: Override for the seed-sharing cell; ``None`` = (axis, value, replicate).
     seed_group: Optional[Tuple[Any, ...]] = None
-    #: Within-tape seek-planner registry name (``None`` = default
-    #: ``greedy-sweep``).  A dataclass field, so it participates in
+    #: Within-tape seek-planner name, a key of ``SEEK_PLANNERS`` (``None``
+    #: = default ``greedy-sweep``).  A dataclass field, so it participates in
     #: :meth:`cache_key` — points never alias across planners.
     seek_planner: Optional[str] = None
     #: Redundancy spec string (``"r=2"`` / ``"k=4,n=6"``; ``None`` = the

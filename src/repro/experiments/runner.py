@@ -54,8 +54,8 @@ class ExperimentSettings:
     eval_seed: int = 0
     workload_seed: int = 20060814
     m: int = DEFAULT_M
-    #: Within-tape seek-planner registry name threaded into every sweep
-    #: point (``None`` = the default ``greedy-sweep``).
+    #: Within-tape seek-planner name (a key of ``SEEK_PLANNERS``) threaded
+    #: into every sweep point (``None`` = the default ``greedy-sweep``).
     seek_planner: Optional[str] = None
     #: Redundancy spec (``"r=2"`` / ``"k=4,n=6"``) wrapping every sweep
     #: point's scheme (``None`` = no redundancy).  A2's incremental points

@@ -1,67 +1,52 @@
-"""Pluggable within-tape seek planners: the LTSP solver family.
+"""Within-tape retrieval order: the cost model and the two seek planners.
 
-The within-tape retrieval order is the Linear Tape Scheduling Problem
-(LTSP): given the head position and a set of non-overlapping extents on one
-tape, find the read order minimizing total locate time.  The paper uses
-the better of the two single sweeps, which is close to optimal but can be
+"The objects retrieving order within a tape is optimized to reduce the data
+seek time based on object location information retrieved from the indexing
+database" (Sec. 6).  Choosing that order is the Linear Tape Scheduling
+Problem (LTSP): given the head position and a set of non-overlapping extents
+on one tape, find the read order minimizing total locate time.  The paper
+reads the extents in one ascending or descending sweep, whichever costs less
+from the current head position.  That is close to optimal but can be
 beaten: reads carry the head forward for free, so turning around at the
 right points rides those free advances, and under an affine model
 (``TapeSpec.locate_startup_s > 0``) chaining adjacent extents saves whole
 startup latencies on top.  LTSP has an exact polynomial dynamic program
-(Honoré, Simon & Suter, arXiv:2112.09384) and a family of cheap sequencing
-policies (Cardonha, Cire & Villa Real, arXiv:2112.07018).
+(Honoré, Simon & Suter, arXiv:2112.09384).
 
-Planners are strategy objects resolved by name through a registry
-(mirroring :mod:`repro.placement.registry`):
+Two planners are selectable by name through :data:`SEEK_PLANNERS`:
 
 ``greedy-sweep`` (default)
-    The paper's two-sweep heuristic — delegates to
-    :func:`~repro.sim.seekplan.plan_retrieval`, bit-identical to the
-    pre-registry engine.
+    The paper's two-sweep heuristic — delegates to :func:`plan_retrieval`.
 
 ``exact``
     O(n²) dynamic program over sweep turn-points: some optimal schedule
     partitions the position-sorted extents into contiguous blocks served
     top-down, each block read bottom-up in one ascending sweep, so only
-    the block boundaries (the turn-points) need to be optimized.  Globally
-    optimal; never worse than either sweep (both sweeps are extreme
+    the block boundaries (the turn-points) need to be optimized.  Optimal
+    per tape visit; never worse than either sweep (both sweeps are extreme
     partitions).
 
-``approx``
-    Nearest-extent-next sequencing: repeatedly read the extent with the
-    cheapest locate from the current head position (ties break toward the
-    lower start).  O(n²), no lookahead.
-
-``k-lookahead``
-    Bounded-horizon search over interval orders: the unread set is kept
-    contiguous in sorted position, each step expands every sequence of up
-    to ``k`` frontier moves, prices each branch as accumulated locate cost
-    plus a cheaper-sweep completion estimate, and commits the branch's
-    first move.  A tunable middle ground between ``greedy-sweep`` and
-    ``exact``.
-
-Every planner returns ``(ordered_extents, total_seek_s)`` where the cost is
-always recomputed through the shared
-:func:`~repro.sim.seekplan.locate_cost` accumulation, so reported plan
-costs are exactly what the engine will charge hop-by-hop.
+:func:`locate_cost` is the single shared accumulation of locate time along
+a fixed order.  Every planner returns ``(ordered_extents, total_seek_s)``
+with the cost recomputed through it, so reported plan costs are exactly
+what the engine will charge hop-by-hop.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..hardware import ObjectExtent, TapeSpec
-from .seekplan import locate_cost, plan_retrieval
 
 __all__ = [
+    "locate_cost",
+    "sweep_cost",
+    "plan_retrieval",
     "SeekPlanner",
     "GreedySweepPlanner",
     "ExactPlanner",
-    "ApproxPlanner",
-    "KLookaheadPlanner",
     "DEFAULT_SEEK_PLANNER",
-    "register_seek_planner",
-    "make_seek_planner",
+    "SEEK_PLANNERS",
     "available_seek_planners",
     "resolve_seek_planner",
 ]
@@ -69,6 +54,60 @@ __all__ = [
 #: A plan: the extents in read order plus the total locate time of that
 #: order from the given head position (priced via ``locate_cost``).
 Plan = Tuple[List[ObjectExtent], float]
+
+
+def locate_cost(
+    ordered: Sequence[ObjectExtent], head_mb: float, spec: TapeSpec
+) -> float:
+    """Total locate time of reading ``ordered`` in exactly that order.
+
+    This is *the* cost model: the engine's per-extent ``drive.read_extent``
+    charges the same ``spec.locate_time`` hop-by-hop, so a planner whose
+    plan costs X under this function takes X seconds of seek in the DES.
+    The spec lookups are hoisted and zero-distance moves skipped, keeping
+    the float expression (and therefore the result bits) identical to the
+    pre-refactor hand-inlined loops and to a ``spec.locate_time`` sum.
+    """
+    startup = spec.locate_startup_s
+    rate = spec.locate_rate_mb_s
+    cost = 0.0
+    position = head_mb
+    for extent in ordered:
+        distance = abs(extent.start_mb - position)
+        if distance != 0:
+            cost += startup + distance / rate
+        position = extent.end_mb
+    return cost
+
+
+def sweep_cost(
+    extents: Sequence[ObjectExtent], head_mb: float, spec: TapeSpec, ascending: bool
+) -> float:
+    """Total locate time of reading ``extents`` in one sweep direction."""
+    if not extents:
+        return 0.0
+    ordered = sorted(extents, key=lambda e: e.start_mb, reverse=not ascending)
+    return locate_cost(ordered, head_mb, spec)
+
+
+def plan_retrieval(
+    extents: Sequence[ObjectExtent], head_mb: float, spec: TapeSpec
+) -> Plan:
+    """Choose the cheaper sweep; returns (ordered extents, total seek time).
+
+    Planning runs once per tape visit inside the simulation hot loop, so the
+    two candidate sweeps are sorted exactly once each and priced through the
+    shared :func:`locate_cost` accumulation.
+    """
+    if not extents:
+        return [], 0.0
+    asc = sorted(extents, key=lambda e: e.start_mb)
+    up = locate_cost(asc, head_mb, spec)
+    desc = sorted(extents, key=lambda e: e.start_mb, reverse=True)
+    down = locate_cost(desc, head_mb, spec)
+    if up <= down:
+        return asc, up
+    return desc, down
 
 
 class SeekPlanner:
@@ -80,7 +119,7 @@ class SeekPlanner:
     was asked to read, only the order is the planner's to choose.
     """
 
-    #: Registry name (set by subclasses).
+    #: Name in :data:`SEEK_PLANNERS` (set by subclasses).
     name: str = ""
 
     def plan(
@@ -136,7 +175,7 @@ class ExactPlanner(SeekPlanner):
     ) -> Plan:
         n = len(extents)
         if n <= 1:
-            # Agree with every other planner on trivial inputs.
+            # Agree with the greedy planner on trivial inputs.
             return plan_retrieval(extents, head_mb, spec)
         ordered = sorted(extents, key=lambda e: e.start_mb)
         locate = spec.locate_time
@@ -203,158 +242,22 @@ class ExactPlanner(SeekPlanner):
         return plan, cost
 
 
-class ApproxPlanner(SeekPlanner):
-    """Nearest-extent-next sequencing (Cardonha-style greedy policy)."""
-
-    name = "approx"
-
-    def plan(
-        self, extents: Sequence[ObjectExtent], head_mb: float, spec: TapeSpec
-    ) -> Plan:
-        if not extents:
-            return [], 0.0
-        locate = spec.locate_time
-        remaining = sorted(extents, key=lambda e: e.start_mb)
-        position = head_mb
-        plan: List[ObjectExtent] = []
-        while remaining:
-            best_i = min(
-                range(len(remaining)),
-                key=lambda i: (locate(position, remaining[i].start_mb), i),
-            )
-            extent = remaining.pop(best_i)
-            plan.append(extent)
-            position = extent.end_mb
-        return plan, locate_cost(plan, head_mb, spec)
-
-
-class KLookaheadPlanner(SeekPlanner):
-    """Depth-``k`` search over interval-order frontier choices.
-
-    State: the read set is kept contiguous in sorted position — after some
-    prefix of reads the unread extents form a low block and a high block,
-    and the next read takes the innermost extent of either.
-    From the current state every sequence of up to ``k`` such moves is
-    expanded; each branch is priced as its accumulated locate cost plus the
-    cheaper-sweep cost of everything still unread from the branch's end
-    position (an admissible completion estimate).  The first move of the
-    best branch is committed and the search repeats, so the planner does
-    O(n·2^k) locate evaluations.
-    """
-
-    name = "k-lookahead"
-
-    def __init__(self, k: int = 3) -> None:
-        if k < 1:
-            raise ValueError(f"lookahead depth must be >= 1, got {k}")
-        self.k = k
-
-    def plan(
-        self, extents: Sequence[ObjectExtent], head_mb: float, spec: TapeSpec
-    ) -> Plan:
-        n = len(extents)
-        if n <= 1:
-            return plan_retrieval(extents, head_mb, spec)
-        ordered = sorted(extents, key=lambda e: e.start_mb)
-        locate = spec.locate_time
-        starts = [e.start_mb for e in ordered]
-        ends = [e.end_mb for e in ordered]
-
-        def completion(lo: int, hi: int, position: float) -> float:
-            """Cheaper-sweep estimate for unread [0..lo] + [hi..n-1]."""
-            unread = ordered[: lo + 1] + ordered[hi:]
-            if not unread:
-                return 0.0
-            _, est = plan_retrieval(unread, position, spec)
-            return est
-
-        def search(lo: int, hi: int, position: float, depth: int) -> Tuple[float, int]:
-            """Best (cost estimate, first move) expanding ``depth`` moves.
-
-            ``lo`` is the highest unread index below the read block, ``hi``
-            the lowest unread index above it (read block = (lo, hi) open
-            interval).  A move reads index ``lo`` (move 0) or ``hi``
-            (move 1).
-            """
-            if lo < 0 and hi >= n:
-                return 0.0, -1
-            if depth == 0:
-                return completion(lo, hi, position), -1
-            best = (float("inf"), -1)
-            if lo >= 0:
-                step = locate(position, starts[lo])
-                tail, _ = search(lo - 1, hi, ends[lo], depth - 1)
-                if step + tail < best[0]:
-                    best = (step + tail, 0)
-            if hi < n:
-                step = locate(position, starts[hi])
-                tail, _ = search(lo, hi + 1, ends[hi], depth - 1)
-                if step + tail < best[0]:
-                    best = (step + tail, 1)
-            return best
-
-        # Choose the first extent by the same bounded search: reading index
-        # f creates the read block {f}.
-        best_first = min(
-            range(n),
-            key=lambda f: locate(head_mb, starts[f])
-            + search(f - 1, f + 1, ends[f], self.k - 1)[0],
-        )
-        lo, hi = best_first - 1, best_first + 1
-        position = ends[best_first]
-        order_idx = [best_first]
-        while lo >= 0 or hi < n:
-            _, move = search(lo, hi, position, self.k)
-            if move == 0:
-                order_idx.append(lo)
-                position = ends[lo]
-                lo -= 1
-            else:
-                order_idx.append(hi)
-                position = ends[hi]
-                hi += 1
-        plan = [ordered[i] for i in order_idx]
-        return plan, locate_cost(plan, head_mb, spec)
-
-
-# ---------------------------------------------------------------------------
-# Registry (mirrors repro.placement.registry)
-
-_REGISTRY: Dict[str, Callable[..., SeekPlanner]] = {}
-
 #: The engine's default planner name: the paper's two-sweep heuristic.
 DEFAULT_SEEK_PLANNER = GreedySweepPlanner.name
 
+#: Every selectable planner by name.  Both planners are stateless, so each
+#: name maps to one shared instance and resolution never allocates.
+SEEK_PLANNERS: Dict[str, SeekPlanner] = {
+    GreedySweepPlanner.name: GreedySweepPlanner(),
+    ExactPlanner.name: ExactPlanner(),
+}
 
-def register_seek_planner(name: str, factory: Callable[..., SeekPlanner]) -> None:
-    """Register a planner factory under a CLI-usable name."""
-    _REGISTRY[name] = factory
-
-
-def make_seek_planner(name: str, **kwargs) -> SeekPlanner:
-    """Instantiate a registered planner by name."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown seek planner {name!r}; known: {known}") from None
-    return factory(**kwargs)
+_DEFAULT_INSTANCE = SEEK_PLANNERS[DEFAULT_SEEK_PLANNER]
 
 
 def available_seek_planners() -> Tuple[str, ...]:
-    """Sorted names of all registered planners."""
-    return tuple(sorted(_REGISTRY))
-
-
-register_seek_planner(GreedySweepPlanner.name, GreedySweepPlanner)
-register_seek_planner(ExactPlanner.name, ExactPlanner)
-register_seek_planner(ApproxPlanner.name, ApproxPlanner)
-register_seek_planner(KLookaheadPlanner.name, KLookaheadPlanner)
-
-#: Shared default instance: resolution happens once per simulation at
-#: configuration time, and the greedy planner is stateless, so every
-#: default-configured engine can share one object.
-_DEFAULT_INSTANCE = GreedySweepPlanner()
+    """Sorted names of the selectable planners."""
+    return tuple(sorted(SEEK_PLANNERS))
 
 
 def resolve_seek_planner(
@@ -362,12 +265,16 @@ def resolve_seek_planner(
 ) -> SeekPlanner:
     """Resolve a configuration value to a planner instance.
 
-    ``None`` means the default (``greedy-sweep``); a string is looked up in
-    the registry; an instance passes through unchanged (so pre-configured
-    planners, e.g. ``KLookaheadPlanner(k=5)``, thread through every layer).
+    ``None`` means the shared default (``greedy-sweep``) instance; a string
+    is looked up in :data:`SEEK_PLANNERS`; an instance passes through
+    unchanged, so a session's resolved planner threads through every layer.
     """
     if planner is None:
         return _DEFAULT_INSTANCE
     if isinstance(planner, SeekPlanner):
         return planner
-    return make_seek_planner(planner)
+    try:
+        return SEEK_PLANNERS[planner]
+    except KeyError:
+        known = ", ".join(available_seek_planners())
+        raise KeyError(f"unknown seek planner {planner!r}; known: {known}") from None

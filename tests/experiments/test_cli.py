@@ -143,13 +143,41 @@ class TestFaultCommands:
         assert "aborted:" in out
         assert "availability:" in out
 
-    def test_open_fail_rejects_bad_format(self):
-        with pytest.raises(SystemExit, match="DRIVE=TIME"):
+    def test_open_fail_rejects_bad_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["open", "--scale", "small", "--fail", "L0.D0"])
+        assert exc.value.code == 2
+        assert "DRIVE=TIME" in capsys.readouterr().err
 
-    def test_open_fail_rejects_bad_number(self):
-        with pytest.raises(SystemExit, match="must be a number"):
+    def test_open_fail_rejects_bad_number(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["open", "--scale", "small", "--fail", "L0.D0=soon"])
+        assert exc.value.code == 2
+        assert "must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["open", "--fail", "=100"],
+        ["open", "--fail", "L0.D0=nan"],
+        ["open", "--fail-tape", "L0.T0"],
+        ["chaos", "--fail", "L0.D0=x"],
+        ["chaos", "--fail", "L0.D0=-100"],
+        ["chaos", "--fail-tape", "L0.T0=later"],
+    ])
+    def test_malformed_fault_value_exits_2_before_any_workload(
+        self, capsys, monkeypatch, argv
+    ):
+        # A malformed --fail/--fail-tape value is a usage error like an
+        # unknown id: one stderr line, exit 2, no workload built.
+        def no_workload(*args, **kwargs):
+            raise AssertionError("workload built before argument checks")
+
+        monkeypatch.setattr("repro.experiments.paper_workload", no_workload)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scale", "small"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --fail")
+        assert err.count("\n") == 1
 
     def test_open_fail_rejects_unknown_drive(self, capsys):
         # Unknown ids are a usage error: exit 2 with the known-id list,
@@ -262,8 +290,38 @@ class TestFaultCommands:
         assert "weibull" in capsys.readouterr().out
 
 
+class TestArrivalArgs:
+    @pytest.mark.parametrize("argv", [
+        ["open", "--rate", "0"],
+        ["open", "--rate", "-2"],
+        ["open", "--rate", "nan"],
+        ["open", "--rate", "inf"],
+        ["open", "--rate", "fast"],
+        ["open", "--arrivals", "0"],
+        ["chaos", "--rate", "nan"],
+        ["chaos", "--arrivals", "-1"],
+        ["trace", "--rate", "0"],
+        ["trace", "--requests", "0"],
+        ["profile", "--rate", "nan"],
+        ["profile", "--arrivals", "0"],
+    ])
+    def test_invalid_arrival_parameters_exit_2_at_parse_time(
+        self, capsys, monkeypatch, argv
+    ):
+        def no_workload(*args, **kwargs):
+            raise AssertionError("workload built before argument checks")
+
+        monkeypatch.setattr("repro.experiments.paper_workload", no_workload)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scale", "small"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[1] in err
+        assert "Traceback" not in err
+
+
 class TestSeekPlannerFlag:
-    """Registry lint: every registered planner round-trips through the CLI."""
+    """Every seek planner round-trips through the CLI, and nothing else does."""
 
     COMMANDS = (["open"], ["profile"], ["sweep", "seekplan"])
 
@@ -293,8 +351,11 @@ class TestSeekPlannerFlag:
             assert set(action.choices) == set(available_seek_planners())
 
     def test_unknown_planner_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["open", "--seek-planner", "zigzag"])
+        # "approx" was a planner once; it is now as unknown as any typo.
+        for name in ("zigzag", "approx"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["open", "--seek-planner", name])
+            assert exc.value.code == 2
 
     def test_sweep_settings_carry_the_planner(self):
         from repro.cli import _settings

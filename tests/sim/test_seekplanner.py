@@ -1,6 +1,4 @@
-"""Tests for the pluggable seek-planner layer (registry + LTSP solvers)."""
-
-import dataclasses
+"""Tests for the seek planners (greedy sweep + exact LTSP)."""
 
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -13,12 +11,9 @@ from repro.sim import (
     SeekPlanner,
     available_seek_planners,
     locate_cost,
-    make_seek_planner,
     plan_retrieval,
-    register_seek_planner,
     resolve_seek_planner,
 )
-from repro.sim import seekplanner as seekplanner_mod
 
 
 @pytest.fixture
@@ -36,13 +31,8 @@ def ext(oid, start, size=10.0):
 
 
 class TestRegistry:
-    def test_all_four_planners_registered(self):
-        assert set(available_seek_planners()) >= {
-            "greedy-sweep",
-            "exact",
-            "approx",
-            "k-lookahead",
-        }
+    def test_exactly_two_planners(self):
+        assert available_seek_planners() == ("exact", "greedy-sweep")
 
     def test_default_is_greedy_sweep(self):
         assert DEFAULT_SEEK_PLANNER == "greedy-sweep"
@@ -51,11 +41,12 @@ class TestRegistry:
     def test_resolve_none_returns_shared_singleton(self):
         assert resolve_seek_planner(None) is resolve_seek_planner(None)
 
-    def test_make_round_trips_every_registered_name(self):
+    def test_resolve_round_trips_every_name(self):
         for name in available_seek_planners():
-            planner = make_seek_planner(name)
+            planner = resolve_seek_planner(name)
             assert isinstance(planner, SeekPlanner)
             assert planner.name == name
+            assert resolve_seek_planner(name) is planner
 
     def test_resolve_accepts_name_and_instance(self):
         by_name = resolve_seek_planner("exact")
@@ -65,28 +56,13 @@ class TestRegistry:
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="greedy-sweep"):
-            make_seek_planner("zigzag")
-        with pytest.raises(KeyError):
             resolve_seek_planner("zigzag")
-
-    def test_register_custom_planner(self):
-        class ReversedPlanner(SeekPlanner):
-            name = "test-reversed"
-
-            def plan(self, extents, head_mb, spec):
-                ordered = list(reversed(extents))
-                return ordered, locate_cost(ordered, head_mb, spec)
-
-        register_seek_planner(ReversedPlanner.name, ReversedPlanner)
-        try:
-            assert "test-reversed" in available_seek_planners()
-            assert make_seek_planner("test-reversed").name == "test-reversed"
-        finally:
-            del seekplanner_mod._REGISTRY["test-reversed"]
+        with pytest.raises(KeyError, match="exact"):
+            resolve_seek_planner("approx")
 
 
 def _all_planners():
-    return [make_seek_planner(name) for name in available_seek_planners()]
+    return [resolve_seek_planner(name) for name in available_seek_planners()]
 
 
 # Integer starts with size 1.0 keep extents disjoint (gap >= size): distinct
@@ -127,7 +103,7 @@ class TestPlannerProperties:
     @given(extent_sets, heads, st.sampled_from([0.0, 0.5, 2.0]))
     def test_exact_never_loses_to_any_other_planner(self, extents, head, startup):
         spec = TapeSpec(1000.0, 10.0, locate_startup_s=startup)
-        _, exact_cost = make_seek_planner("exact").plan(extents, head, spec)
+        _, exact_cost = resolve_seek_planner("exact").plan(extents, head, spec)
         for planner in _all_planners():
             _, cost = planner.plan(extents, head, spec)
             assert exact_cost <= cost + 1e-9
@@ -173,7 +149,7 @@ class TestExactBeatsSweepSomewhere:
         ]
         head = 805.0
         _, greedy = plan_retrieval(extents, head, startup_spec)
-        ordered, exact = make_seek_planner("exact").plan(
+        ordered, exact = resolve_seek_planner("exact").plan(
             extents, head, startup_spec
         )
         assert exact <= greedy
@@ -188,5 +164,5 @@ class TestExactBeatsSweepSomewhere:
                 locate_cost(list(perm), head, startup_spec)
                 for perm in itertools.permutations(extents)
             )
-            _, cost = make_seek_planner("exact").plan(extents, head, startup_spec)
+            _, cost = resolve_seek_planner("exact").plan(extents, head, startup_spec)
             assert cost == pytest.approx(best)
