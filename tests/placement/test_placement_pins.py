@@ -37,14 +37,27 @@ ARCHIVES = {
     "small-s7": ("small", 7, None),
 }
 
-#: (label, scheme name, scheme kwargs, redundancy spec)
+#: (label, scheme name, scheme kwargs, redundancy spec, archives; None = all)
 CONFIGS = (
-    ("parallel_batch-m4", "parallel_batch", {"m": 4}, None),
-    ("parallel_batch-m2-object", "parallel_batch", {"m": 2, "alignment": "object"}, None),
-    ("object_probability", "object_probability", {}, None),
-    ("cluster_probability", "cluster_probability", {}, None),
-    ("parallel_batch-m4-r2", "parallel_batch", {"m": 4}, "r=2"),
+    ("parallel_batch-m4", "parallel_batch", {"m": 4}, None, None),
+    ("parallel_batch-m2-object", "parallel_batch", {"m": 2, "alignment": "object"}, None, None),
+    ("object_probability", "object_probability", {}, None, None),
+    ("cluster_probability", "cluster_probability", {}, None, None),
+    ("parallel_batch-m4-r2", "parallel_batch", {"m": 4}, "r=2", None),
+    ("parallel_batch-m4-k4n6", "parallel_batch", {"m": 4}, "k=4,n=6", ("small-s7",)),
+    (
+        "parallel_batch-m2-object-r2", "parallel_batch",
+        {"m": 2, "alignment": "object"}, "r=2", ("small-s7",),
+    ),
 )
+
+#: (archive, label, scheme, kwargs, redundancy) for every pinned placement.
+CASES = [
+    (archive, *config[:4])
+    for config in CONFIGS
+    for archive in sorted(ARCHIVES)
+    if config[4] is None or archive in config[4]
+]
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +106,7 @@ def _place(archive, scheme, kwargs, redundancy):
     placer = make_scheme(scheme, **kwargs)
     if redundancy:
         # Two copies of the paper's 53 TB do not fit Table 1's 96 TB.
+        # Erasure k=4,n=6 stores 1.5 copies and gets the same doubled spec.
         spec = spec.with_libraries(2 * spec.num_libraries)
         placer = wrap_scheme(placer, redundancy)
     result = placer.place(workload, spec)
@@ -100,9 +114,8 @@ def _place(archive, scheme, kwargs, redundancy):
     return result
 
 
-@pytest.mark.parametrize("archive", sorted(ARCHIVES))
 @pytest.mark.parametrize(
-    "label,scheme,kwargs,redundancy", CONFIGS, ids=[c[0] for c in CONFIGS]
+    "archive,label,scheme,kwargs,redundancy", CASES, ids=[f"{c[1]}-{c[0]}" for c in CASES]
 )
 def test_placement_pinned(archive, label, scheme, kwargs, redundancy, update_golden):
     got = pin(_place(archive, scheme, kwargs, redundancy))
