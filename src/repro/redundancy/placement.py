@@ -26,8 +26,9 @@ pinned by ``tests/sim/test_opensystem.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple, Union
+import heapq
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -128,6 +129,15 @@ class _TapeCursors:
     is tracked per ``(object, part)`` redundancy group — a striped base
     object may legitimately occupy every library, yet each part's copies
     must still fan out across libraries.
+
+    Each library keeps a min-heap of ``(used_mb, slot)`` with lazy
+    invalidation: :meth:`append` pushes a tape's new fill and leaves the
+    old entry behind, which is dropped when it surfaces (its fill no
+    longer matches ``used``).  The least-used tape an object does not
+    already occupy has the most free space, so if a member does not fit
+    there it fits nowhere in that library: the heap head (after setting
+    aside the few tapes the object holds) *is* the least-used admissible
+    tape, ties broken by slot.
     """
 
     def __init__(
@@ -138,23 +148,38 @@ class _TapeCursors:
     ) -> None:
         self.capacity = spec.library.tape.capacity_mb
         self.num_libraries = spec.num_libraries
+        self.num_tapes = spec.library.num_tapes
         #: Libraries each redundancy group must span (the validate() rule).
         self.span = min(replicas, spec.num_libraries)
-        self.used: Dict[TapeId, float] = {}
-        self.object_tapes: Dict[int, set] = {}
-        self.group_libraries: Dict[Tuple[int, int], set] = {}
-        self.by_library: List[List[TapeId]] = [
-            [TapeId(lib, slot) for slot in range(spec.library.num_tapes)]
-            for lib in range(spec.num_libraries)
+        #: Library visiting order for each start library.
+        self.rotations = [
+            [(start + i) % self.num_libraries for i in range(self.num_libraries)]
+            for start in range(self.num_libraries)
         ]
+        self.tape_ids = [
+            [TapeId(lib, slot) for slot in range(self.num_tapes)]
+            for lib in range(self.num_libraries)
+        ]
+        self.used = [[0.0] * self.num_tapes for _ in range(self.num_libraries)]
+        #: object id -> global tape numbers (``library * num_tapes + slot``).
+        self.object_tapes: Dict[int, set] = {}
+        #: (object id, part) -> libraries the redundancy group occupies.
+        self.group_libraries: Dict[Tuple[int, int], set] = {}
         for tape_id, extents in layouts.items():
-            self.used[tape_id] = max((e.end_mb for e in extents), default=0.0)
+            self.used[tape_id.library][tape_id.slot] = max(
+                (e.end_mb for e in extents), default=0.0
+            )
             for extent in extents:
                 self.note(extent.object_id, extent.part, tape_id)
+        self.heaps = [list(zip(used, range(self.num_tapes))) for used in self.used]
+        for heap in self.heaps:
+            heapq.heapify(heap)
 
     def note(self, object_id: int, part: int, tape_id: TapeId) -> None:
-        self.object_tapes.setdefault(object_id, set()).add(tape_id)
-        self.group_libraries.setdefault((object_id, part), set()).add(tape_id.library)
+        library = tape_id.library
+        tape = library * self.num_tapes + tape_id.slot
+        self.object_tapes.setdefault(object_id, set()).add(tape)
+        self.group_libraries.setdefault((object_id, part), set()).add(library)
 
     def choose(
         self, object_id: int, part: int, size_mb: float, start_library: int
@@ -166,37 +191,62 @@ class _TapeCursors:
         same-library fallback would silently void the anti-affinity that
         ``validate()`` enforces, so exhaustion raises instead.
         """
-        taken_tapes = self.object_tapes.get(object_id, set())
-        group_libs = self.group_libraries.get((object_id, part), set())
-        rotation = [
-            (start_library + i) % self.num_libraries
-            for i in range(self.num_libraries)
-        ]
-        fresh = [lib for lib in rotation if lib not in group_libs]
-        must_spread = len(group_libs) < self.span
-        ordering = fresh if must_spread else fresh + [
-            lib for lib in rotation if lib in group_libs
-        ]
+        taken = self.object_tapes.get(object_id, ())
+        group_libs = self.group_libraries.get((object_id, part), ())
+        rotation = self.rotations[start_library]
+        ordering = [lib for lib in rotation if lib not in group_libs]
+        if len(group_libs) >= self.span:
+            ordering += [lib for lib in rotation if lib in group_libs]
+        limit = self.capacity + 1e-9
         for library in ordering:
-            candidates = [
-                tid
-                for tid in self.by_library[library]
-                if tid not in taken_tapes
-                and self.used.get(tid, 0.0) + size_mb <= self.capacity + 1e-9
-            ]
-            if candidates:
-                return min(candidates, key=lambda tid: (self.used.get(tid, 0.0), tid.slot))
+            slot = self._least_used(library, taken)
+            if slot is not None and self.used[library][slot] + size_mb <= limit:
+                return self.tape_ids[library][slot]
         raise PlacementError(
             f"no tape can hold a {size_mb:.0f} MB redundancy member of object "
             f"{object_id} part {part} (capacity exhausted or distinct-library "
             "anti-affinity unsatisfiable)"
         )
 
-    def append(self, object_id: int, tape_id: TapeId, extent_kwargs: dict) -> ObjectExtent:
-        start = self.used.get(tape_id, 0.0)
-        extent = ObjectExtent(start_mb=start, **extent_kwargs)
-        self.used[tape_id] = extent.end_mb
-        self.note(object_id, extent.part, tape_id)
+    def _least_used(self, library: int, taken) -> Optional[int]:
+        """Slot of the least-used tape of ``library`` not in ``taken``."""
+        heap, used = self.heaps[library], self.used[library]
+        base = library * self.num_tapes
+        aside = []
+        slot = None
+        while heap:
+            fill, head = heap[0]
+            if fill != used[head]:
+                heapq.heappop(heap)  # superseded by a later append
+            elif base + head in taken:
+                aside.append(heapq.heappop(heap))
+            else:
+                slot = head
+                break
+        for entry in aside:
+            heapq.heappush(heap, entry)
+        return slot
+
+    def append(
+        self,
+        tape_id: TapeId,
+        object_id: int,
+        size_mb: float,
+        part: int,
+        parts: int,
+        replica: int,
+        replicas: int,
+        needed: int,
+    ) -> ObjectExtent:
+        """Write one member at the end of ``tape_id``; returns its extent."""
+        library, slot = tape_id.library, tape_id.slot
+        used = self.used[library]
+        extent = ObjectExtent(
+            object_id, used[slot], size_mb, part, parts, replica, replicas, needed
+        )
+        used[slot] = extent.end_mb
+        heapq.heappush(self.heaps[library], (used[slot], slot))
+        self.note(object_id, part, tape_id)
         return extent
 
 
@@ -272,7 +322,7 @@ class ReplicatedPlacement(PlacementScheme):
         r = self.r
         layouts: Dict[TapeId, List[ObjectExtent]] = {
             tid: [
-                replace(e, replica=0, replicas=r, needed=1)
+                ObjectExtent(e.object_id, e.start_mb, e.size_mb, e.part, e.parts, 0, r, 1)
                 for e in sorted(extents, key=lambda ext: ext.start_mb)
             ]
             for tid, extents in base.layouts.items()
@@ -287,17 +337,8 @@ class ReplicatedPlacement(PlacementScheme):
                     start_library=(primary_tape.library + copy) % spec.num_libraries,
                 )
                 placed = cursors.append(
-                    extent.object_id,
-                    target,
-                    dict(
-                        object_id=extent.object_id,
-                        size_mb=extent.size_mb,
-                        part=extent.part,
-                        parts=extent.parts,
-                        replica=copy,
-                        replicas=r,
-                        needed=1,
-                    ),
+                    target, extent.object_id, extent.size_mb, extent.part, extent.parts,
+                    copy, r, 1,
                 )
                 layouts.setdefault(target, []).append(placed)
 
@@ -380,15 +421,7 @@ class ErasureCodedPlacement(PlacementScheme):
                     start_library=(primary_tape.library + stripe) % spec.num_libraries,
                 )
                 placed = cursors.append(
-                    extent.object_id,
-                    target,
-                    dict(
-                        object_id=extent.object_id,
-                        size_mb=stripe_mb,
-                        replica=stripe,
-                        replicas=n,
-                        needed=k,
-                    ),
+                    target, extent.object_id, stripe_mb, 0, 1, stripe, n, k
                 )
                 layouts.setdefault(target, []).append(placed)
 
