@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--seed", type=int, default=0, help="arrival/sampling seed")
     op.add_argument(
         "--window",
-        type=float,
+        type=_positive(float),
         default=None,
         metavar="SECONDS",
         help="also print tumbling-window stats of this width",
@@ -277,11 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ch.add_argument("--seed", type=int, default=0, help="arrival/sampling seed")
     ch.add_argument(
-        "--mtbf", type=float, default=4.0, metavar="HOURS",
+        "--mtbf", type=_positive(float), default=4.0, metavar="HOURS",
         help="mean time between drive failures (default: 4 h)",
     )
     ch.add_argument(
-        "--mttr", type=float, default=0.5, metavar="HOURS",
+        "--mttr", type=_positive(float), default=0.5, metavar="HOURS",
         help="mean time to repair a failed drive (default: 0.5 h)",
     )
     ch.add_argument(
@@ -289,15 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="time-to-failure/repair distribution",
     )
     ch.add_argument(
-        "--shape", type=float, default=1.0,
+        "--shape", type=_positive(float), default=1.0,
         help="Weibull shape k (>1 wear-out, <1 infant mortality)",
     )
     ch.add_argument(
-        "--transient-prob", type=float, default=0.0, metavar="P",
+        "--transient-prob", type=_probability, default=0.0, metavar="P",
         help="per-attempt transient mount/read error probability",
     )
     ch.add_argument(
-        "--retries", type=int, default=4, metavar="N",
+        "--retries", type=_non_negative(int), default=4, metavar="N",
         help="transient retries before escalating to a hard failure",
     )
     ch.add_argument(
@@ -530,23 +530,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive(convert):
-    """argparse ``type=``: ``convert`` the text, then require finite and > 0.
+def _bounded(convert, admissible, what: str):
+    """argparse ``type=``: ``convert`` the text, then require it finite and
+    ``admissible``.
 
-    Arrival rates and counts are checked here so a bad value is a usage
-    error (exit 2) before any workload is generated or placed.
+    Numeric flags are checked here so a bad value is a usage error (exit 2)
+    before any workload is generated or placed.
     """
 
     def parse(text: str):
         value = convert(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(
-                f"must be a finite number > 0, got {text!r}"
-            )
+        if not (math.isfinite(value) and admissible(value)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
     return parse
+
+
+def _positive(convert):
+    return _bounded(convert, lambda value: value > 0, "a finite number > 0")
+
+
+def _non_negative(convert):
+    return _bounded(convert, lambda value: value >= 0, "a number >= 0")
+
+
+_probability = _bounded(float, lambda value: 0 <= value <= 1, "a probability in [0, 1]")
 
 
 def _add_seek_planner_arg(parser: argparse.ArgumentParser) -> None:

@@ -97,6 +97,17 @@ class FaultEscalation(Exception):
     """
 
 
+def _check_finite(**values: Optional[float]) -> None:
+    """Reject NaN and infinite parameters (``None`` means unset).
+
+    Every NaN comparison is false, so a ``value <= 0`` bound alone lets
+    NaN through (and a NaN MTBF never schedules a failure or ends a run).
+    """
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Capped exponential backoff for transient errors.
@@ -112,6 +123,11 @@ class RetryPolicy:
     max_delay_s: float = 60.0
 
     def __post_init__(self) -> None:
+        _check_finite(
+            base_delay_s=self.base_delay_s,
+            multiplier=self.multiplier,
+            max_delay_s=self.max_delay_s,
+        )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.base_delay_s < 0:
@@ -214,6 +230,7 @@ class DriveFailure(FaultSpec):
     repair_after_s: Optional[float] = None
 
     def validate(self, system) -> None:
+        _check_finite(at_s=self.at_s, repair_after_s=self.repair_after_s)
         if self.at_s < 0:
             raise ValueError(f"failure time must be >= 0, got {self.at_s}")
         if self.repair_after_s is not None and self.repair_after_s <= 0:
@@ -239,6 +256,7 @@ class DriveFaultProcess(FaultSpec):
     shape: float = 1.0
 
     def validate(self, system) -> None:
+        _check_finite(mtbf_s=self.mtbf_s, mttr_s=self.mttr_s, shape=self.shape)
         if self.mtbf_s <= 0:
             raise ValueError(f"mtbf_s must be positive, got {self.mtbf_s}")
         if self.mttr_s <= 0:
@@ -263,6 +281,7 @@ class RobotOutage(FaultSpec):
     library: Optional[int] = None
 
     def validate(self, system) -> None:
+        _check_finite(at_s=self.at_s, duration_s=self.duration_s)
         if self.at_s < 0:
             raise ValueError(f"outage time must be >= 0, got {self.at_s}")
         if self.duration_s <= 0:
@@ -293,6 +312,7 @@ class TransientFaults(FaultSpec):
     operations: Tuple[str, ...] = ("mount", "read")
 
     def validate(self, system) -> None:
+        _check_finite(probability=self.probability)
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(
                 f"probability must be in [0, 1], got {self.probability}"
@@ -324,6 +344,7 @@ class TapeFailure(FaultSpec):
     at_s: float
 
     def validate(self, system) -> None:
+        _check_finite(at_s=self.at_s)
         if self.at_s < 0:
             raise ValueError(f"failure time must be >= 0, got {self.at_s}")
         _check_tape_names(system, [self.tape])
@@ -349,6 +370,7 @@ class TapeWearProcess(FaultSpec):
     tapes: Optional[Tuple[str, ...]] = None
 
     def validate(self, system) -> None:
+        _check_finite(mean_cycles=self.mean_cycles, shape=self.shape)
         if self.mean_cycles <= 0:
             raise ValueError(
                 f"mean_cycles must be positive, got {self.mean_cycles}"

@@ -320,6 +320,52 @@ class TestArrivalArgs:
         assert "Traceback" not in err
 
 
+class TestNumericFlags:
+    """Fault, retry and window flags are checked when the command line is
+    parsed: a bad value exits 2 before any workload is generated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--mtbf", "nan"],
+        ["chaos", "--mtbf", "0"],
+        ["chaos", "--mtbf", "inf"],
+        ["chaos", "--mttr", "-1"],
+        ["chaos", "--mttr", "nan"],
+        ["chaos", "--shape", "0"],
+        ["chaos", "--shape", "inf"],
+        ["chaos", "--transient-prob", "2"],
+        ["chaos", "--transient-prob", "-0.1"],
+        ["chaos", "--transient-prob", "nan"],
+        ["chaos", "--retries", "-1"],
+        ["chaos", "--retries", "two"],
+        ["open", "--window", "0"],
+        ["open", "--window", "nan"],
+    ])
+    def test_invalid_value_exits_2_before_any_workload(self, capsys, monkeypatch, argv):
+        def no_workload(*args, **kwargs):
+            raise AssertionError("workload generated before argument checks")
+
+        monkeypatch.setattr("repro.experiments.runner.generate_workload", no_workload)
+        monkeypatch.setattr("repro.cli.generate_workload", no_workload)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scale", "small"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # argparse prints its usage, then exactly one error line.
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"argument {argv[1]}:" in errors[0]
+        assert "Traceback" not in err
+
+    def test_boundary_values_parse(self):
+        args = build_parser().parse_args(
+            ["chaos", "--transient-prob", "1", "--retries", "0", "--mtbf", "1e9"]
+        )
+        assert (args.transient_prob, args.retries, args.mtbf) == (1.0, 0, 1e9)
+        args = build_parser().parse_args(["chaos", "--transient-prob", "0"])
+        assert args.transient_prob == 0.0
+        assert build_parser().parse_args(["open", "--window", "0.5"]).window == 0.5
+
+
 class TestSeekPlannerFlag:
     """Every seek planner round-trips through the CLI, and nothing else does."""
 

@@ -31,6 +31,8 @@ from repro.sim import (
     RetryPolicy,
     RobotOutage,
     SimulationSession,
+    TapeFailure,
+    TapeWearProcess,
     TransientFaults,
     failures_to_specs,
     simulate_open_system,
@@ -102,6 +104,10 @@ class TestRetryPolicy:
             {"base_delay_s": -1.0},
             {"multiplier": 0.5},
             {"base_delay_s": 10.0, "max_delay_s": 5.0},
+            {"base_delay_s": math.nan},
+            {"multiplier": math.nan},
+            {"multiplier": math.inf},
+            {"max_delay_s": math.nan},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -159,6 +165,37 @@ class TestSpecValidation:
     def test_bad_specs_rejected_before_simulation(self, workload, spec, fault):
         with pytest.raises(ValueError):
             _session(workload, spec).open(faults=(fault,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field, make",
+        [
+            ("at_s", lambda bad: DriveFailure("L0.D0", at_s=bad)),
+            ("repair_after_s", lambda bad: DriveFailure("L0.D0", at_s=1.0, repair_after_s=bad)),
+            ("mtbf_s", lambda bad: DriveFaultProcess(mtbf_s=bad, mttr_s=10.0)),
+            ("mttr_s", lambda bad: DriveFaultProcess(mtbf_s=10.0, mttr_s=bad)),
+            ("shape", lambda bad: DriveFaultProcess(
+                mtbf_s=10.0, mttr_s=1.0, distribution="weibull", shape=bad)),
+            ("at_s", lambda bad: RobotOutage(at_s=bad, duration_s=5.0)),
+            ("duration_s", lambda bad: RobotOutage(at_s=10.0, duration_s=bad)),
+            ("probability", lambda bad: TransientFaults(probability=bad)),
+            ("at_s", lambda bad: TapeFailure("L0.T0", at_s=bad)),
+            ("mean_cycles", lambda bad: TapeWearProcess(mean_cycles=bad)),
+            ("shape", lambda bad: TapeWearProcess(mean_cycles=50.0, shape=bad)),
+        ],
+        ids=[
+            "DriveFailure.at_s", "DriveFailure.repair_after_s",
+            "DriveFaultProcess.mtbf_s", "DriveFaultProcess.mttr_s",
+            "DriveFaultProcess.shape", "RobotOutage.at_s", "RobotOutage.duration_s",
+            "TransientFaults.probability", "TapeFailure.at_s",
+            "TapeWearProcess.mean_cycles", "TapeWearProcess.shape",
+        ],
+    )
+    def test_non_finite_values_rejected(self, workload, spec, field, make, bad):
+        # Every NaN comparison is false, so a bare `<= 0` bound let NaN in
+        # (a NaN MTBF never ends a run); inf is no usable time or rate either.
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            _session(workload, spec).open(faults=(make(bad),))
 
     def test_legacy_map_becomes_one_shot_specs(self):
         specs = failures_to_specs({"L0.D1": 30.0, "L0.D0": 10.0})
