@@ -151,11 +151,6 @@ class _TapeCursors:
         self.num_tapes = spec.library.num_tapes
         #: Libraries each redundancy group must span (the validate() rule).
         self.span = min(replicas, spec.num_libraries)
-        #: Library visiting order for each start library.
-        self.rotations = [
-            [(start + i) % self.num_libraries for i in range(self.num_libraries)]
-            for start in range(self.num_libraries)
-        ]
         self.tape_ids = [
             [TapeId(lib, slot) for slot in range(self.num_tapes)]
             for lib in range(self.num_libraries)
@@ -193,7 +188,10 @@ class _TapeCursors:
         """
         taken = self.object_tapes.get(object_id, ())
         group_libs = self.group_libraries.get((object_id, part), ())
-        rotation = self.rotations[start_library]
+        rotation = [
+            (start_library + i) % self.num_libraries
+            for i in range(self.num_libraries)
+        ]
         ordering = [lib for lib in rotation if lib not in group_libs]
         if len(group_libs) >= self.span:
             ordering += [lib for lib in rotation if lib in group_libs]
@@ -322,7 +320,10 @@ class ReplicatedPlacement(PlacementScheme):
         r = self.r
         layouts: Dict[TapeId, List[ObjectExtent]] = {
             tid: [
-                ObjectExtent(e.object_id, e.start_mb, e.size_mb, e.part, e.parts, 0, r, 1)
+                ObjectExtent(
+                    e.object_id, e.start_mb, e.size_mb, e.part, e.parts,
+                    replica=0, replicas=r, needed=1,
+                )
                 for e in sorted(extents, key=lambda ext: ext.start_mb)
             ]
             for tid, extents in base.layouts.items()
@@ -338,7 +339,7 @@ class ReplicatedPlacement(PlacementScheme):
                 )
                 placed = cursors.append(
                     target, extent.object_id, extent.size_mb, extent.part, extent.parts,
-                    copy, r, 1,
+                    replica=copy, replicas=r, needed=1,
                 )
                 layouts.setdefault(target, []).append(placed)
 
@@ -421,7 +422,8 @@ class ErasureCodedPlacement(PlacementScheme):
                     start_library=(primary_tape.library + stripe) % spec.num_libraries,
                 )
                 placed = cursors.append(
-                    target, extent.object_id, stripe_mb, 0, 1, stripe, n, k
+                    target, extent.object_id, stripe_mb, part=0, parts=1,
+                    replica=stripe, replicas=n, needed=k,
                 )
                 layouts.setdefault(target, []).append(placed)
 

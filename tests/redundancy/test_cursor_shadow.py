@@ -101,9 +101,9 @@ class ShadowCursors(_TapeCursors):
         self.choices += 1
         return got
 
-    def append(self, tape_id, object_id, size_mb, part, *rest):
+    def append(self, tape_id, object_id, size_mb, part, *rest, **kwargs):
         self.reference.append(object_id, part, tape_id, size_mb)
-        extent = super().append(tape_id, object_id, size_mb, part, *rest)
+        extent = super().append(tape_id, object_id, size_mb, part, *rest, **kwargs)
         assert extent.end_mb == self.reference.used[tape_id]
         return extent
 
@@ -129,8 +129,9 @@ def shadowed(monkeypatch):
     ErasureCodedPlacement(k=4, n=6, m=2),
 ], ids=["r2", "r3", "object_probability-r2", "k2n3", "k4n6"])
 def test_whole_placements_choose_like_the_scan(shadowed, placer, workload, spec):
-    result = placer.place(workload, spec.with_libraries(3))
-    result.validate(workload.catalog, spec.with_libraries(3))
+    spec = spec.with_libraries(3)
+    result = placer.place(workload, spec)
+    result.validate(workload.catalog, spec)
     (cursors,) = shadowed
     assert cursors.choices == _chosen_members(result)
 
