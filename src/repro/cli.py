@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ch.add_argument(
         "--sample-period",
-        type=float,
+        type=_positive(float),
         default=None,
         metavar="SECONDS",
         help="periodic registry snapshot period feeding the dashboard's "
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--seed", type=int, default=0, help="arrival/sampling seed")
     tr.add_argument(
         "--sample-period",
-        type=float,
+        type=_positive(float),
         default=300.0,
         metavar="SECONDS",
         help="metrics snapshot period in simulated seconds",

@@ -16,6 +16,7 @@ wall time.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence
 
@@ -260,8 +261,8 @@ class MetricsRegistry:
         re-arming once it is the only thing scheduled, so a run's drain
         condition (``env.run()`` until empty) is unaffected.
         """
-        if period_s <= 0:
-            raise ValueError(f"sample period must be positive, got {period_s}")
+        if not (math.isfinite(period_s) and period_s > 0):
+            raise ValueError(f"sample period must be finite and positive, got {period_s}")
 
         def _sampler():
             while True:

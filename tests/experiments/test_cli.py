@@ -321,8 +321,8 @@ class TestArrivalArgs:
 
 
 class TestNumericFlags:
-    """Fault, retry and window flags are checked when the command line is
-    parsed: a bad value exits 2 before any workload is generated."""
+    """Fault, retry, window and sampling flags are checked when the command
+    line is parsed: a bad value exits 2 before any workload is generated."""
 
     @pytest.mark.parametrize("argv", [
         ["chaos", "--mtbf", "nan"],
@@ -337,6 +337,9 @@ class TestNumericFlags:
         ["chaos", "--transient-prob", "nan"],
         ["chaos", "--retries", "-1"],
         ["chaos", "--retries", "two"],
+        ["chaos", "--sample-period", "0"],
+        ["chaos", "--sample-period", "nan"],
+        ["trace", "--sample-period", "-300"],
         ["open", "--window", "0"],
         ["open", "--window", "nan"],
     ])

@@ -122,5 +122,6 @@ class TestMetricsRegistry:
         assert times == [0.0, 3.0, 6.0, 9.0, 12.0]
 
     def test_sampler_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().install_sampler(Environment(), 0.0)
+        for period_s in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                MetricsRegistry().install_sampler(Environment(), period_s)
