@@ -3,8 +3,8 @@
 Benchmarks run the paper-scale experiments (30 000 objects, Table-1 system,
 200 sampled requests) unless overridden:
 
-* ``REPRO_SCALE=small`` — ~10x smaller workload and tapes;
-* ``REPRO_SAMPLES=N``  — sampled requests per configuration;
+* ``REPRO_SCALE=small`` — ~10x smaller workload and tapes (the full-rounds
+  small run: ``REPRO_SCALE=small pytest benchmarks/``);
 * ``--quick`` / ``REPRO_BENCH_QUICK=1`` — quick mode: force the small
   scale and let timing benches drop to one round / fewer arrivals, so a CI
   smoke job can run the suite in minutes (see the ``quick`` fixture).

@@ -15,6 +15,11 @@ Subcommands
 ``schemes``          list registered placement schemes
 ``workload``         generate and dump/inspect a workload trace
 
+Every flag that more than one subcommand takes is declared once, in
+:func:`_shared_flags`, with an argparse ``type`` that checks its domain;
+rules that tie flags together live in :func:`_check_args`.  Either way a
+bad command line is a usage error (exit 2) before any workload is built.
+
 Status and diagnostic output goes through :mod:`logging` (stderr) so it is
 separable from result tables and dashboards on stdout; ``--verbose`` /
 ``--quiet`` on the top-level parser adjust the level.
@@ -30,7 +35,7 @@ Examples::
     repro-tape open --fail L0.D0=1800 --fail L0.D1=3600 --scale small
     repro-tape chaos --mtbf 4 --mttr 0.5 --seed 7 --scale small
     repro-tape chaos --mtbf 2 --slo "availability >= 0.95" --report chaos.html
-    repro-tape trace --requests 50 --policy concurrent --out-dir telemetry
+    repro-tape trace --arrivals 50 --policy concurrent --out-dir telemetry
     repro-tape report fleet.jsonl --out report.html --slo "aborted_requests == 0"
     repro-tape metrics feed.jsonl --follow
     repro-tape workload --out trace.json --alpha 0.6
@@ -42,7 +47,7 @@ import argparse
 import logging
 import math
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .experiments import (
     ALL_EXPERIMENTS,
@@ -53,14 +58,20 @@ from .experiments import (
     default_cache_dir,
     default_settings,
 )
+from .hardware import TapeSystem
 from .placement import available_schemes, make_scheme
+from .redundancy import parse_redundancy, wrap_scheme
 from .sim import (
     READ_SELECTIONS,
     REPAIR_POLICIES,
     SimulationSession,
+    TapeFailure,
     available_scheduling_policies,
     available_seek_planners,
+    known_drive_names,
+    known_tape_names,
 )
+from .sim.opensystem import SCHEDULING_POLICIES
 from .workload import dump_workload, generate_workload
 
 __all__ = ["main", "build_parser"]
@@ -87,6 +98,218 @@ def _configure_logging(args: argparse.Namespace) -> None:
     )
 
 
+def _bounded(convert, admissible, what: str):
+    """argparse ``type=``: ``convert`` the text, then require it finite and
+    ``admissible``.
+
+    Numeric flags are checked here so a bad value is a usage error (exit 2)
+    before any workload is generated or placed.
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and admissible(value)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+def _positive(convert):
+    return _bounded(convert, lambda value: value > 0, "a finite number > 0")
+
+
+def _non_negative(convert):
+    return _bounded(convert, lambda value: value >= 0, "a finite number >= 0")
+
+
+_probability = _bounded(float, lambda value: 0 <= value <= 1, "a probability in [0, 1]")
+
+
+def _validated(check):
+    """argparse ``type=`` that keeps the text once ``check(text)`` accepts it.
+
+    ``check`` raises ``ValueError`` on a bad value; its message becomes the
+    usage error.  The text itself is kept because settings and sweep cache
+    keys carry the spec string, not its parsed form.
+    """
+
+    def parse(text: str) -> str:
+        try:
+            check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return parse
+
+
+def _fault_at(flag: str, what: str):
+    """argparse ``type=`` for ``--fail``/``--fail-tape``: ``NAME=TIME`` ->
+    ``(name, seconds)``.
+
+    A malformed value prints the one line ``error: <flag> ...`` and exits 2
+    right here, without argparse's usage block.
+    """
+
+    def parse(text: str) -> Tuple[str, float]:
+        name, sep, at_s = text.partition("=")
+        if not sep or not name:
+            problem = f"expects {what}=TIME"
+        else:
+            try:
+                at = float(at_s)
+            except ValueError:
+                at = math.nan
+            if math.isfinite(at) and at >= 0:
+                return name, at
+            problem = "time must be a number, finite and >= 0"
+        print(f"error: {flag} {problem}, got {text!r}", file=sys.stderr)
+        raise SystemExit(2)
+
+    return parse
+
+
+def _shared_flags() -> Dict[str, Tuple[str, Tuple[str, ...], dict]]:
+    """Every flag more than one subcommand takes, declared once.
+
+    Maps ``dest -> (help group, option strings, add_argument keywords)``.
+    Subcommands pick flags by name through :func:`_shared` and keep a
+    different default with ``set_defaults``.  Built per parser because the
+    scheme and policy registries can grow after import.
+    """
+    return {
+        # -- archive: which system is simulated ---------------------------
+        "scale": ("archive", ("--scale",), dict(
+            choices=["paper", "small"], default=None,
+            help="paper = 30k objects / Table-1 system; small = ~10x smaller",
+        )),
+        "scheme": ("archive", ("--scheme",), dict(
+            default="parallel_batch", choices=sorted(available_schemes()),
+        )),
+        "m": ("archive", ("--m",), dict(
+            type=_positive(int), default=4,
+            help="switch drives per library (parallel_batch; 1..d-1)",
+        )),
+        "redundancy": ("archive", ("--redundancy",), dict(
+            type=_validated(parse_redundancy), default=None, metavar="SPEC",
+            help="wrap the scheme in a redundancy layer: 'r=<copies>' for "
+            "replication or 'k=<data>,n=<total>' for erasure coding "
+            "(see docs/redundancy.md)",
+        )),
+        "seek_planner": ("archive", ("--seek-planner",), dict(
+            default=None, choices=sorted(available_seek_planners()),
+            help="within-tape retrieval-order planner (default: greedy-sweep; "
+            "see docs/seek_planning.md)",
+        )),
+        # -- sampling: what is drawn, and from which seed -----------------
+        "num_samples": ("sampling", ("--num-samples", "--samples"), dict(
+            type=_positive(int), default=None, metavar="N",
+            help="sampled requests per configuration (paper uses 200)",
+        )),
+        "seed": ("sampling", ("--seed",), dict(
+            type=_non_negative(int), default=0,
+            help="seed of the sampled requests and arrivals; `workload` "
+            "seeds the generator with it (default: %(default)s)",
+        )),
+        "alpha": ("sampling", ("--alpha",), dict(
+            type=_non_negative(float), default=0.3, help="Zipf popularity skew",
+        )),
+        # -- arrivals: the open-system request stream ---------------------
+        "policy": ("arrivals", ("--policy",), dict(
+            default="concurrent", choices=sorted(available_scheduling_policies()),
+            help="request-scheduling policy (serial-fcfs reproduces the "
+            "closed loop; default: %(default)s)",
+        )),
+        "rate": ("arrivals", ("--rate",), dict(
+            type=_positive(float), default=8.0,
+            help="Poisson arrival rate per hour (default: %(default)s)",
+        )),
+        "arrivals": ("arrivals", ("--arrivals", "--requests"), dict(
+            type=_positive(int), default=60, metavar="N",
+            help="number of arrivals to serve (default: %(default)s)",
+        )),
+        # -- faults: injected losses and how repair competes --------------
+        "fail": ("faults", ("--fail",), dict(
+            type=_fault_at("--fail", "DRIVE"), action="append", default=None,
+            metavar="DRIVE=TIME",
+            help="fail a drive permanently at an absolute time in seconds, "
+            "e.g. --fail L0.D0=1800 (repeatable; needs --policy concurrent)",
+        )),
+        "fail_tape": ("faults", ("--fail-tape",), dict(
+            type=_fault_at("--fail-tape", "TAPE"), action="append", default=None,
+            metavar="TAPE=TIME",
+            help="destroy a cartridge (whole-tape media loss) at an absolute "
+            "time in seconds, e.g. --fail-tape L0.T3=1800 (repeatable; the "
+            "repair manager re-replicates redundant data, see "
+            "docs/robustness.md)",
+        )),
+        "repair_policy": ("faults", ("--repair-policy",), dict(
+            default=None, choices=sorted(REPAIR_POLICIES),
+            help="how media-loss repair traffic competes with user restores "
+            "(default: user-first)",
+        )),
+        "read_selection": ("faults", ("--read-selection",), dict(
+            default=None, choices=sorted(READ_SELECTIONS),
+            help="redundant-read member ordering: least-loaded library "
+            "(default) or cheapest member (mounted tape first, then lowest "
+            "estimated drive time)",
+        )),
+        # -- telemetry outputs --------------------------------------------
+        "out_dir": ("telemetry", ("--out-dir",), dict(
+            default=None, metavar="DIR",
+            help="export trace.json + metrics.jsonl telemetry to DIR "
+            "(trace: telemetry/ unless given)",
+        )),
+        "slo": ("telemetry", ("--slo",), dict(
+            type=_validated(lambda text: _parse_slo_args([text])),
+            action="append", default=None, metavar="SPEC",
+            help="service-level objective, e.g. 'p99_sojourn <= 600' "
+            "(repeatable; 'default' expands to the chaos defaults; non-zero "
+            "exit on failure)",
+        )),
+        "report": ("telemetry", ("--report",), dict(
+            default=None, metavar="PATH",
+            help="render the fleet dashboard to this HTML file",
+        )),
+        "sample_period": ("telemetry", ("--sample-period",), dict(
+            type=_positive(float), default=None, metavar="SECONDS",
+            help="periodic registry snapshot period in simulated seconds "
+            "(feeds metrics.jsonl and the dashboard's drives-down timeline)",
+        )),
+        # -- tables --------------------------------------------------------
+        "chart": ("tables", ("--chart",), dict(
+            action="store_true", help="also draw the series as a terminal chart",
+        )),
+        "csv": ("tables", ("--csv",), dict(
+            metavar="PATH", help="also write the table as CSV",
+        )),
+    }
+
+
+def _shared(flags, names) -> argparse.ArgumentParser:
+    """A fresh parent parser holding the named shared flags in help groups.
+
+    Fresh for every subcommand: argparse hands a parent's action objects
+    to each child as they are, so one subcommand's ``set_defaults`` would
+    otherwise move the default on every other subcommand too.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    groups: Dict[str, argparse._ArgumentGroup] = {}
+    for name in names:
+        title, option_strings, kwargs = flags[name]
+        if title not in groups:
+            groups[title] = parent.add_argument_group(title)
+        groups[title].add_argument(*option_strings, dest=name, **kwargs)
+    return parent
+
+
+_ARCHIVE = ("scale", "scheme", "m")
+_ARRIVALS = ("policy", "rate", "arrivals", "seed")
+_FAULTS = ("fail", "fail_tape", "repair_policy", "read_selection")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-tape",
@@ -108,21 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress status output (warnings and errors only)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = _shared_flags()
 
-    exp = sub.add_parser("experiment", help="run a paper experiment and print its table")
+    def command(name: str, *shared: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[_shared(flags, shared)], **kwargs)
+
+    exp = command(
+        "experiment", "scale", "num_samples", "chart", "csv",
+        help="run a paper experiment and print its table",
+    )
     exp.add_argument(
         "id",
         choices=sorted(ALL_EXPERIMENTS),
         help="experiment id (see DESIGN.md §3)",
     )
-    exp.add_argument(
-        "--chart", action="store_true", help="also draw the series as a terminal chart"
-    )
-    exp.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
-    _add_settings_args(exp)
 
-    sw = sub.add_parser(
-        "sweep",
+    sw = command(
+        "sweep", "scale", "num_samples", "seek_planner", "redundancy",
+        "chart", "csv", "slo", "report",
         help="run an experiment through the parallel sweep engine",
         description=(
             "Expands the experiment into (scheme, axis-value, replicate) "
@@ -141,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sw.add_argument(
         "--workers",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="N",
         help="worker processes (default: $REPRO_WORKERS, else 1 = in-process)",
@@ -162,29 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore cached results but store fresh ones",
     )
     sw.add_argument(
-        "--chart", action="store_true", help="also draw the series as a terminal chart"
-    )
-    sw.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
-    sw.add_argument(
         "--metrics-out",
         default=None,
         metavar="PATH",
         help="write the merged fleet telemetry as JSONL "
         "(render later with `repro-tape report`)",
-    )
-    sw.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help="render the sweep's fleet dashboard to this HTML file",
-    )
-    sw.add_argument(
-        "--slo",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="service-level objective to evaluate against the merged fleet, "
-        "e.g. 'p99_sojourn <= 600' (repeatable; non-zero exit on failure)",
     )
     sw.add_argument(
         "--feed",
@@ -193,38 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream live point/progress records to this JSONL file while "
         "the sweep runs (tail with `repro-tape metrics PATH --follow`)",
     )
-    _add_seek_planner_arg(sw)
-    _add_redundancy_arg(sw)
-    _add_settings_args(sw)
 
-    run = sub.add_parser("run", help="evaluate one scheme on one configuration")
-    run.add_argument("--scheme", default="parallel_batch", choices=sorted(available_schemes()))
-    run.add_argument("--m", type=int, default=4, help="switch drives per library (parallel_batch)")
-    run.add_argument("--alpha", type=float, default=0.3, help="Zipf popularity skew")
-    run.add_argument("--libraries", type=int, default=3)
-    run.add_argument("--samples", type=int, default=200)
-    run.add_argument("--seed", type=int, default=0, help="evaluation sampling seed")
-    run.add_argument("--workload-seed", type=int, default=20060814)
-    _add_settings_args(run)
+    run = command(
+        "run", *_ARCHIVE, "num_samples", "seed", "alpha",
+        help="evaluate one scheme on one configuration",
+    )
+    run.add_argument("--libraries", type=_positive(int), default=3)
+    run.add_argument("--workload-seed", type=_non_negative(int), default=20060814)
+    run.set_defaults(num_samples=200)
 
-    op = sub.add_parser(
-        "open", help="serve a Poisson arrival stream on one persistent environment"
+    op = command(
+        "open", *_ARCHIVE, "redundancy", "seek_planner", *_ARRIVALS, *_FAULTS,
+        help="serve a Poisson arrival stream on one persistent environment",
     )
-    op.add_argument(
-        "--policy",
-        default="concurrent",
-        choices=sorted(available_scheduling_policies()),
-        help="request-scheduling policy (serial-fcfs reproduces the closed loop)",
-    )
-    op.add_argument("--scheme", default="parallel_batch", choices=sorted(available_schemes()))
-    op.add_argument("--m", type=int, default=4, help="switch drives per library (parallel_batch)")
-    op.add_argument(
-        "--rate", type=_positive(float), default=4.0, help="Poisson arrival rate per hour"
-    )
-    op.add_argument(
-        "--arrivals", type=_positive(int), default=60, help="number of arrivals to serve"
-    )
-    op.add_argument("--seed", type=int, default=0, help="arrival/sampling seed")
     op.add_argument(
         "--window",
         type=_positive(float),
@@ -232,21 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="also print tumbling-window stats of this width",
     )
-    op.add_argument(
-        "--fail",
-        action="append",
-        default=None,
-        metavar="DRIVE=TIME",
-        help="fail a drive permanently at an absolute time in seconds, e.g. "
-        "--fail L0.D0=1800 (repeatable; requires --policy concurrent)",
-    )
-    _add_media_fault_args(op)
-    _add_seek_planner_arg(op)
-    _add_redundancy_arg(op)
-    _add_settings_args(op)
+    op.set_defaults(rate=4.0)
 
-    ch = sub.add_parser(
-        "chaos",
+    ch = command(
+        "chaos", *_ARCHIVE, "redundancy", "rate", "arrivals", "seed", *_FAULTS,
+        "out_dir", "slo", "report", "sample_period",
         help="open-system run under stochastic drive fail/repair faults",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         description=(
@@ -256,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
             "retried with capped exponential backoff.  Fault timing draws\n"
             "from substreams of --fault-seed, so runs are bit-reproducible.\n"
             "Prints availability, degraded time, and fault counters next to\n"
-            "the usual sojourn statistics.  See docs/robustness.md.\n"
+            "the usual sojourn statistics.  --sample-period defaults to 300\n"
+            "when --report is set.  See docs/robustness.md.\n"
             "\n"
             "Examples:\n"
             "  repro-tape chaos --mtbf 4 --mttr 0.5 --seed 7 --scale small\n"
@@ -267,15 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
             "  repro-tape chaos --fail L0.D0=1800 --mtbf 1e9 --scale small"
         ),
     )
-    ch.add_argument("--scheme", default="parallel_batch", choices=sorted(available_schemes()))
-    ch.add_argument("--m", type=int, default=4, help="switch drives per library (parallel_batch)")
-    ch.add_argument(
-        "--rate", type=_positive(float), default=8.0, help="Poisson arrival rate per hour"
-    )
-    ch.add_argument(
-        "--arrivals", type=_positive(int), default=60, help="number of arrivals to serve"
-    )
-    ch.add_argument("--seed", type=int, default=0, help="arrival/sampling seed")
     ch.add_argument(
         "--mtbf", type=_positive(float), default=4.0, metavar="HOURS",
         help="mean time between drive failures (default: 4 h)",
@@ -301,50 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="transient retries before escalating to a hard failure",
     )
     ch.add_argument(
-        "--fault-seed", type=int, default=None,
+        "--fault-seed", type=_non_negative(int), default=None,
         help="root seed of the fault-timing substreams (default: --seed)",
     )
-    ch.add_argument(
-        "--fail",
-        action="append",
-        default=None,
-        metavar="DRIVE=TIME",
-        help="additionally fail a drive permanently at an absolute time "
-        "in seconds (repeatable)",
-    )
-    _add_media_fault_args(ch)
-    ch.add_argument(
-        "--out-dir", default=None, metavar="DIR",
-        help="also export trace.json + metrics.jsonl telemetry artifacts",
-    )
-    ch.add_argument(
-        "--slo",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="service-level objective to evaluate against the run, e.g. "
-        "'availability >= 0.99' (repeatable; 'default' expands to the "
-        "chaos defaults; non-zero exit on failure)",
-    )
-    ch.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help="render the run's fleet dashboard to this HTML file",
-    )
-    ch.add_argument(
-        "--sample-period",
-        type=_positive(float),
-        default=None,
-        metavar="SECONDS",
-        help="periodic registry snapshot period feeding the dashboard's "
-        "drives-down timeline (default: 300 when --report is set)",
-    )
-    _add_redundancy_arg(ch)
-    _add_settings_args(ch)
 
-    tr = sub.add_parser(
-        "trace",
+    tr = command(
+        "trace", *_ARCHIVE, *_ARRIVALS, "out_dir", "sample_period",
         help="serve an open-system workload and export its telemetry artifacts",
         description=(
             "Runs a Poisson arrival stream (like `open`) with full telemetry: "
@@ -355,32 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     tr.add_argument(
-        "--policy",
-        default="concurrent",
-        choices=sorted(available_scheduling_policies()),
-        help="request-scheduling policy",
-    )
-    tr.add_argument("--scheme", default="parallel_batch", choices=sorted(available_schemes()))
-    tr.add_argument("--m", type=int, default=4, help="switch drives per library (parallel_batch)")
-    tr.add_argument(
-        "--rate", type=_positive(float), default=8.0, help="Poisson arrival rate per hour"
-    )
-    tr.add_argument(
-        "--requests", type=_positive(int), default=50, help="number of arrivals to serve"
-    )
-    tr.add_argument("--seed", type=int, default=0, help="arrival/sampling seed")
-    tr.add_argument(
-        "--sample-period",
-        type=_positive(float),
-        default=300.0,
-        metavar="SECONDS",
-        help="metrics snapshot period in simulated seconds",
-    )
-    tr.add_argument(
-        "--out-dir", default="telemetry", help="artifact directory (default: telemetry/)"
-    )
-    tr.add_argument(
-        "--flames", type=int, default=1, metavar="N",
+        "--flames", type=_non_negative(int), default=1, metavar="N",
         help="print text flame trees of the N slowest requests",
     )
     tr.add_argument(
@@ -389,10 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate the exported trace against the trace_event schema; "
         "non-zero exit on problems",
     )
-    _add_settings_args(tr)
+    tr.set_defaults(arrivals=50, out_dir="telemetry", sample_period=300.0)
 
-    pf = sub.add_parser(
-        "profile",
+    pf = command(
+        "profile", *_ARCHIVE, "seek_planner", *_ARRIVALS,
         help="profile an open-system run under cProfile and print the hot spots",
         description=(
             "Serves a Poisson arrival stream (like `open`) with the Python "
@@ -404,22 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     pf.add_argument(
-        "--policy",
-        default="serial-fcfs",
-        choices=sorted(available_scheduling_policies()),
-        help="request-scheduling policy to profile",
-    )
-    pf.add_argument("--scheme", default="parallel_batch", choices=sorted(available_schemes()))
-    pf.add_argument("--m", type=int, default=4, help="switch drives per library (parallel_batch)")
-    pf.add_argument(
-        "--rate", type=_positive(float), default=8.0, help="Poisson arrival rate per hour"
-    )
-    pf.add_argument(
-        "--arrivals", type=_positive(int), default=60, help="number of arrivals to serve"
-    )
-    pf.add_argument("--seed", type=int, default=0, help="arrival/sampling seed")
-    pf.add_argument(
-        "--top", type=int, default=25, metavar="N",
+        "--top", type=_positive(int), default=25, metavar="N",
         help="rows of the profile table to print (default: 25)",
     )
     pf.add_argument(
@@ -435,23 +528,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="also export trace.json + metrics.jsonl telemetry from the "
         "profiled run (requires tracing enabled)",
     )
-    _add_seek_planner_arg(pf)
-    _add_settings_args(pf)
+    pf.set_defaults(policy="serial-fcfs")
 
-    cmp_p = sub.add_parser(
-        "compare", help="paired statistical comparison of two schemes"
+    cmp_p = command(
+        "compare", "scale", "num_samples", "seed", "alpha",
+        help="paired statistical comparison of two schemes",
     )
     cmp_p.add_argument("scheme_a", choices=sorted(available_schemes()))
     cmp_p.add_argument("scheme_b", choices=sorted(available_schemes()))
     cmp_p.add_argument("--metric", default="response_s",
                        choices=["response_s", "bandwidth_mb_s", "switch_s", "seek_s", "transfer_s"])
-    cmp_p.add_argument("--alpha", type=float, default=0.3)
-    cmp_p.add_argument("--samples", type=int, default=200)
-    cmp_p.add_argument("--seed", type=int, default=0)
-    _add_settings_args(cmp_p)
+    cmp_p.set_defaults(num_samples=200)
 
-    rep = sub.add_parser(
-        "reproduce",
+    rep = command(
+        "reproduce", "scale", "num_samples",
         help="run every experiment (T1, F5-F9, E1-E3, A1-A8) and write a results directory",
     )
     rep.add_argument("--out", default="results", help="output directory (default: results/)")
@@ -461,10 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(ALL_EXPERIMENTS),
         help="restrict to these experiment ids",
     )
-    _add_settings_args(rep)
 
-    rpt = sub.add_parser(
-        "report",
+    rpt = command(
+        "report", "slo",
         help="render the self-contained HTML fleet dashboard from saved JSONL",
         description=(
             "Rebuilds a FleetRegistry from saved telemetry — either fleet "
@@ -485,15 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="report.html", metavar="PATH",
         help="dashboard HTML path (default: report.html)",
     )
-    rpt.add_argument(
-        "--slo",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="objective to evaluate and render, e.g. 'p95_sojourn <= 300' "
-        "(repeatable; 'default' expands to the chaos defaults; non-zero "
-        "exit on failure)",
-    )
     rpt.add_argument("--title", default=None, help="dashboard title override")
 
     mt = sub.add_parser(
@@ -513,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mt.add_argument(
         "--interval",
-        type=float,
+        type=_positive(float),
         default=0.5,
         metavar="SECONDS",
         help="poll interval while following (default: 0.5)",
@@ -521,134 +601,95 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("schemes", help="list registered placement schemes")
 
-    wl = sub.add_parser("workload", help="generate a workload; print stats or dump JSON")
+    wl = command(
+        "workload", "scale", "seed", "alpha",
+        help="generate a workload; print stats or dump JSON",
+    )
     wl.add_argument("--out", help="path for the JSON trace (omit to just print stats)")
-    wl.add_argument("--alpha", type=float, default=0.3)
-    wl.add_argument("--seed", type=int, default=20060814)
-    _add_settings_args(wl)
+    wl.set_defaults(seed=20060814)
 
     return parser
 
 
-def _bounded(convert, admissible, what: str):
-    """argparse ``type=``: ``convert`` the text, then require it finite and
-    ``admissible``.
+def _subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """The subparser ``build_parser`` registered as ``name``."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
 
-    Numeric flags are checked here so a bad value is a usage error (exit 2)
-    before any workload is generated or placed.
+
+def _fault_map(args: argparse.Namespace, dest: str) -> Dict[str, float]:
+    """``--fail``/``--fail-tape`` pairs as ``{name: seconds}`` (last wins)."""
+    return dict(getattr(args, dest, None) or ())
+
+
+def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Cross-flag rules, checked after parsing and before any workload is built.
+
+    A violation is a usage error reported through the subcommand's
+    ``parser.error`` (one line, exit 2):
+
+    * ``--m`` must be in 1..d-1 for the chosen scale's drives per library;
+    * ``--fail``/``--fail-tape`` need a policy that supports faults and ids
+      that name a drive/tape of the configured system.
     """
-
-    def parse(text: str):
-        value = convert(text)
-        if not (math.isfinite(value) and admissible(value)):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-        return value
-
-    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
-    return parse
-
-
-def _positive(convert):
-    return _bounded(convert, lambda value: value > 0, "a finite number > 0")
-
-
-def _non_negative(convert):
-    return _bounded(convert, lambda value: value >= 0, "a number >= 0")
-
-
-_probability = _bounded(float, lambda value: 0 <= value <= 1, "a probability in [0, 1]")
-
-
-def _add_seek_planner_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seek-planner",
-        default=None,
-        choices=sorted(available_seek_planners()),
-        help="within-tape retrieval-order planner (default: greedy-sweep; "
-        "see docs/seek_planning.md)",
-    )
-
-
-def _add_media_fault_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fail-tape",
-        action="append",
-        default=None,
-        metavar="TAPE=TIME",
-        help="destroy a cartridge (whole-tape media loss) at an absolute "
-        "time in seconds, e.g. --fail-tape L0.T3=1800 (repeatable; the "
-        "repair manager re-replicates redundant data, see "
-        "docs/robustness.md)",
-    )
-    parser.add_argument(
-        "--repair-policy",
-        default=None,
-        choices=sorted(REPAIR_POLICIES),
-        help="how media-loss repair traffic competes with user restores "
-        "(default: user-first)",
-    )
-    parser.add_argument(
-        "--read-selection",
-        default=None,
-        choices=sorted(READ_SELECTIONS),
-        help="redundant-read member ordering: least-loaded library "
-        "(default) or cheapest member (mounted tape first, then lowest "
-        "estimated drive time)",
-    )
-
-
-def _add_redundancy_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--redundancy",
-        default=None,
-        metavar="SPEC",
-        help="wrap the scheme in a redundancy layer: 'r=<copies>' for "
-        "replication or 'k=<data>,n=<total>' for erasure coding "
-        "(see docs/redundancy.md)",
-    )
-
-
-def _add_settings_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scale",
-        choices=["paper", "small"],
-        default=None,
-        help="paper = 30k objects / Table-1 system; small = ~10x smaller",
-    )
-    parser.add_argument(
-        "--num-samples",
-        type=int,
-        default=None,
-        help="sampled requests per configuration (paper uses 200)",
-    )
+    if not hasattr(args, "scale"):
+        return  # report, metrics, schemes: no simulated system
+    error = _subcommand(parser, args.command).error
+    try:
+        spec = _settings(args).spec()
+    except ValueError as exc:  # an unknown $REPRO_SCALE
+        error(str(exc))
+    drives = spec.library.num_drives
+    if getattr(args, "scheme", None) == "parallel_batch" and args.m > drives - 1:
+        error(
+            f"argument --m: must be in 1..{drives - 1} (at least one of the "
+            f"{drives} drives per library stays mounted), got {args.m}"
+        )
+    failures = {"--fail": _fault_map(args, "fail"), "--fail-tape": _fault_map(args, "fail_tape")}
+    if not any(failures.values()):
+        return
+    policy = getattr(args, "policy", "concurrent")
+    flag = "--fail" if failures["--fail"] else "--fail-tape"
+    if not getattr(SCHEDULING_POLICIES[policy], "supports_faults", False):
+        error(f"argument {flag}: requires --policy concurrent, not {policy!r}")
+    system = TapeSystem(spec)
+    for flag, what, known in (
+        ("--fail", "drive", known_drive_names(system)),
+        ("--fail-tape", "tape", known_tape_names(system)),
+    ):
+        bad = sorted(set(failures[flag]) - set(known))
+        if bad:
+            error(
+                f"argument {flag}: unknown {what} id(s): {', '.join(bad)}; "
+                f"known {what}s: {', '.join(known)}"
+            )
 
 
 def _settings(args: argparse.Namespace) -> ExperimentSettings:
     overrides = {}
-    if getattr(args, "scale", None):
-        overrides["scale"] = args.scale
-    if getattr(args, "num_samples", None):
-        overrides["num_samples"] = args.num_samples
-    if getattr(args, "seek_planner", None):
-        overrides["seek_planner"] = args.seek_planner
-    if getattr(args, "redundancy", None):
-        overrides["redundancy"] = args.redundancy
+    for name in ("scale", "num_samples", "seek_planner", "redundancy"):
+        value = getattr(args, name, None)
+        if value is not None:
+            overrides[name] = value
     return default_settings(**overrides)
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    settings = _settings(args)
-    table = ALL_EXPERIMENTS[args.id](settings)
+def _print_table(table, args: argparse.Namespace) -> None:
+    """Print an experiment table, plus its ``--chart`` and ``--csv`` forms."""
     print(table.format())
-    if getattr(args, "chart", False):
+    if args.chart:
         chart = chart_table(table)
         print()
         print(chart if chart else "(no numeric series to chart)")
-    if getattr(args, "csv", None):
+    if args.csv:
         from pathlib import Path
 
         Path(args.csv).write_text(table.to_csv())
         logger.info("CSV written to %s", args.csv)
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    _print_table(ALL_EXPERIMENTS[args.id](_settings(args)), args)
     return 0
 
 
@@ -663,6 +704,41 @@ def _parse_slo_args(specs: Optional[List[str]]):
         else:
             texts.append(spec)
     return parse_slos(";".join(texts)) if texts else ()
+
+
+def _verdicts_and_dashboard(fleet, slo_specs, report_path, **dashboard) -> int:
+    """Judge the ``--slo`` objectives against ``fleet``, render its dashboard
+    to ``report_path`` (when given) and print the verdicts.
+
+    Returns the exit status: 1 when an objective failed, else 0.
+    """
+    from .obs import evaluate_slos, format_verdicts, write_dashboard
+
+    slos = _parse_slo_args(slo_specs)
+    verdicts = evaluate_slos(slos, fleet) if slos else ()
+    if report_path:
+        write_dashboard(fleet, report_path, verdicts=verdicts, **dashboard)
+        logger.info("dashboard:         %s", report_path)
+    if not verdicts:
+        return 0
+    print()
+    print(format_verdicts(verdicts))
+    return 0 if all(v.passed for v in verdicts) else 1
+
+
+def _export_telemetry(result, out_dir) -> dict:
+    """Write ``trace.json`` + ``metrics.jsonl`` under ``out_dir``; returns the
+    trace document."""
+    from pathlib import Path
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    doc = result.write_trace(out / "trace.json")
+    lines = result.write_metrics(out / "metrics.jsonl")
+    logger.info("trace:             %s  (open at https://ui.perfetto.dev)",
+                out / "trace.json")
+    logger.info("metrics:           %s  (%d lines)", out / "metrics.jsonl", lines)
+    return doc
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -702,7 +778,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if feed_fh is not None:
             feed_fh.close()
             logger.info("feed:              %s", args.feed)
-    print(table.format())
     stats = table.data.get("sweep", {})
     if stats:
         cache_note = (
@@ -719,54 +794,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             stats["workers"],
             cache_note,
         )
-    if getattr(args, "chart", False):
-        chart = chart_table(table)
-        print()
-        print(chart if chart else "(no numeric series to chart)")
-    if getattr(args, "csv", None):
-        from pathlib import Path
-
-        Path(args.csv).write_text(table.to_csv())
-        logger.info("CSV written to %s", args.csv)
+    _print_table(table, args)
 
     fleet = table.data.get("fleet")
-    status = 0
-    if fleet is not None:
+    if fleet is None:
+        if args.metrics_out or args.slo or args.report:
+            logger.warning(
+                "no fleet telemetry available for this experiment; "
+                "--metrics-out/--slo/--report skipped"
+            )
+        return 0
+    if args.metrics_out:
         from .obs import write_fleet_jsonl
 
-        if args.metrics_out:
-            lines = write_fleet_jsonl(fleet, args.metrics_out)
-            logger.info("fleet metrics:     %s  (%d lines)", args.metrics_out, lines)
-        slos = _parse_slo_args(args.slo)
-        verdicts = ()
-        if slos:
-            from .obs import evaluate_slos
-
-            verdicts = evaluate_slos(slos, fleet)
-        if args.report:
-            from .obs import write_dashboard
-
-            write_dashboard(
-                fleet,
-                args.report,
-                verdicts=verdicts,
-                title=f"repro-tape sweep: {args.id}",
-                subtitle=f"{stats.get('points', len(fleet.points))} points, "
-                f"workers={stats.get('workers', '?')}",
-            )
-            logger.info("dashboard:         %s", args.report)
-        if verdicts:
-            from .obs import format_verdicts
-
-            print()
-            print(format_verdicts(verdicts))
-            status = 0 if all(v.passed for v in verdicts) else 1
-    elif args.metrics_out or args.slo or args.report:
-        logger.warning(
-            "no fleet telemetry available for this experiment; "
-            "--metrics-out/--slo/--report skipped"
-        )
-    return status
+        lines = write_fleet_jsonl(fleet, args.metrics_out)
+        logger.info("fleet metrics:     %s  (%d lines)", args.metrics_out, lines)
+    return _verdicts_and_dashboard(
+        fleet,
+        args.slo,
+        args.report,
+        title=f"repro-tape sweep: {args.id}",
+        subtitle=f"{stats.get('points', len(fleet.points))} points, "
+        f"workers={stats.get('workers', '?')}",
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -774,10 +824,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     params = settings.workload_params
     workload = generate_workload(params, seed=args.workload_seed, zipf_alpha=args.alpha)
     spec = settings.spec(num_libraries=args.libraries)
-    kwargs = {"m": args.m} if args.scheme == "parallel_batch" else {}
-    scheme = make_scheme(args.scheme, **kwargs)
-    session = SimulationSession(workload, spec, scheme=scheme)
-    result = session.evaluate(num_samples=args.samples, seed=args.seed)
+    session = SimulationSession(workload, spec, scheme=_scheme(args))
+    result = session.evaluate(num_samples=args.num_samples, seed=args.seed)
     print(f"scheme:            {args.scheme}")
     print(f"workload:          {workload!r}")
     print(f"system:            {spec!r}")
@@ -792,116 +840,56 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_fail_args(
-    pairs: Optional[List[str]], flag: str = "--fail", what: str = "DRIVE"
-) -> dict:
-    """``["L0.D0=1800", ...]`` -> ``{"L0.D0": 1800.0, ...}``.
+def _scheme(args: argparse.Namespace):
+    """The ``--scheme`` placement (``--m`` configures parallel_batch only),
+    wrapped in the ``--redundancy`` layer when one is given."""
+    kwargs = {"m": args.m} if args.scheme == "parallel_batch" else {}
+    scheme = make_scheme(args.scheme, **kwargs)
+    if getattr(args, "redundancy", None):
+        scheme = wrap_scheme(scheme, args.redundancy)
+    return scheme
 
-    A malformed value is a usage error: one stderr line, exit 2.
+
+def _open_session(args: argparse.Namespace, faults=(), **options):
+    """Settings -> workload -> scheme (-> redundancy) -> session -> open system.
+
+    The one construction path behind ``open``, ``chaos``, ``profile`` and
+    ``trace``.  ``faults`` are armed ahead of any ``--fail-tape`` losses;
+    ``options`` go to :meth:`SimulationSession.open` as they are.  A flag the
+    command does not take leaves that setting at the library default.
     """
-    failures = {}
-    for pair in pairs or []:
-        name, sep, at_s = pair.partition("=")
-        if not sep or not name:
-            problem = f"expects {what}=TIME"
-        else:
-            try:
-                at = float(at_s)
-            except ValueError:
-                at = math.nan
-            if math.isfinite(at) and at >= 0:
-                failures[name] = at
-                continue
-            problem = "time must be a number, finite and >= 0"
-        print(f"error: {flag} {problem}, got {pair!r}", file=sys.stderr)
-        raise SystemExit(2)
-    return failures
+    from .experiments import paper_workload
 
-
-def _check_fault_ids(session, drive_failures: dict, tape_failures: dict) -> None:
-    """Validate ``--fail`` / ``--fail-tape`` ids against the configuration.
-
-    An unknown id exits 2 (usage error) with the known-id list, *before*
-    any simulation starts — a typo'd drive or tape name must not silently
-    run a fault-free experiment.
-    """
-    from .sim import known_drive_names, known_tape_names
-
-    known_drives = known_drive_names(session.system)
-    bad = sorted(set(drive_failures) - set(known_drives))
-    if bad:
-        print(
-            f"error: --fail: unknown drive id(s): {', '.join(bad)}\n"
-            f"known drives: {', '.join(known_drives)}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    known_tapes = known_tape_names(session.system)
-    bad = sorted(set(tape_failures) - set(known_tapes))
-    if bad:
-        print(
-            f"error: --fail-tape: unknown tape id(s): {', '.join(bad)}\n"
-            f"known tapes: {', '.join(known_tapes)}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    settings = _settings(args)
+    workload = paper_workload(settings)
+    session = SimulationSession(workload, settings.spec(), scheme=_scheme(args))
+    tape_losses = tuple(
+        TapeFailure(tape, at_s=at_s)
+        for tape, at_s in sorted(_fault_map(args, "fail_tape").items())
+    )
+    return session.open(
+        policy=getattr(args, "policy", "concurrent"),
+        failures=_fault_map(args, "fail") or None,
+        faults=tuple(faults) + tape_losses,
+        seek_planner=getattr(args, "seek_planner", None),
+        repair_policy=getattr(args, "repair_policy", None),
+        read_selection=getattr(args, "read_selection", None) or "least-loaded",
+        **options,
+    )
 
 
 def _cmd_open(args: argparse.Namespace) -> int:
-    from .experiments import paper_workload
-    from .sim.opensystem import SCHEDULING_POLICIES
-
-    failures = _parse_fail_args(getattr(args, "fail", None))
-    tape_failures = _parse_fail_args(
-        getattr(args, "fail_tape", None), flag="--fail-tape", what="TAPE"
-    )
-    if (failures or tape_failures) and not getattr(
-        SCHEDULING_POLICIES[args.policy], "supports_faults", False
-    ):
-        # Reject before the workload and placement are built.
-        flag = "--fail" if failures else "--fail-tape"
-        print(
-            f"error: {flag} requires --policy concurrent, not {args.policy!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    settings = _settings(args)
-    workload = paper_workload(settings)
-    spec = settings.spec()
-    kwargs = {"m": args.m} if args.scheme == "parallel_batch" else {}
-    scheme = make_scheme(args.scheme, **kwargs)
-    if args.redundancy:
-        from .redundancy import wrap_scheme
-
-        scheme = wrap_scheme(scheme, args.redundancy)
-    session = SimulationSession(workload, spec, scheme=scheme)
-    _check_fault_ids(session, failures, tape_failures)
-    faults = None
-    if tape_failures:
-        from .sim import TapeFailure
-
-        faults = tuple(
-            TapeFailure(tape, at_s=at_s)
-            for tape, at_s in sorted(tape_failures.items())
-        )
-    opensys = session.open(
-        policy=args.policy,
-        failures=failures or None,
-        faults=faults,
-        seek_planner=args.seek_planner,
-        repair_policy=args.repair_policy,
-        read_selection=args.read_selection or "least-loaded",
-    )
+    opensys = _open_session(args)
     result = opensys.run(args.rate, num_arrivals=args.arrivals, seed=args.seed)
     print(f"policy:            {result.policy}")
     print(f"seek planner:      {opensys.seek_planner.name}")
     print(f"scheme:            {result.scheme}")
     print(f"arrival rate:      {result.arrival_rate_per_hour:10.1f} /h")
     print(f"arrivals served:   {len(result):10d}")
-    if failures or tape_failures:
+    if args.fail or args.fail_tape:
         print(f"  aborted:         {result.aborted_requests:10d}")
         print(f"availability:      {result.availability:10.2%}")
-    if tape_failures:
+    if args.fail_tape:
         repair_summary = result.repair
         print(f"tape losses:       {result.faults.get('tape_losses', 0):10.0f}")
         print(f"objects lost:      {result.objects_lost:10d}")
@@ -936,23 +924,7 @@ def _cmd_open(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .experiments import paper_workload
-    from .sim import DriveFaultProcess, RetryPolicy, TapeFailure, TransientFaults
-
-    failures = _parse_fail_args(getattr(args, "fail", None))
-    tape_failures = _parse_fail_args(
-        getattr(args, "fail_tape", None), flag="--fail-tape", what="TAPE"
-    )
-    settings = _settings(args)
-    workload = paper_workload(settings)
-    spec = settings.spec()
-    kwargs = {"m": args.m} if args.scheme == "parallel_batch" else {}
-    scheme = make_scheme(args.scheme, **kwargs)
-    if args.redundancy:
-        from .redundancy import wrap_scheme
-
-        scheme = wrap_scheme(scheme, args.redundancy)
-    session = SimulationSession(workload, spec, scheme=scheme)
+    from .sim import DriveFaultProcess, RetryPolicy, TransientFaults
 
     faults: List = [
         DriveFaultProcess(
@@ -969,21 +941,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 retry=RetryPolicy(max_retries=args.retries),
             )
         )
-    _check_fault_ids(session, failures, tape_failures)
-    for tape, at_s in sorted(tape_failures.items()):
-        faults.append(TapeFailure(tape, at_s=at_s))
     fault_seed = args.fault_seed if args.fault_seed is not None else args.seed
     sample_period = args.sample_period
     if sample_period is None and args.report:
         sample_period = 300.0
-    result = session.open(
-        policy="concurrent",
-        failures=failures or None,
-        faults=tuple(faults),
-        fault_seed=fault_seed,
-        repair_policy=args.repair_policy,
-        read_selection=args.read_selection or "least-loaded",
-    ).run(
+    result = _open_session(args, faults, fault_seed=fault_seed).run(
         args.rate,
         num_arrivals=args.arrivals,
         seed=args.seed,
@@ -1006,7 +968,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print(f"transient errors:  {faults_summary['transient_errors']:10.0f}")
     print(f"  retries:         {faults_summary['retries']:10.0f}")
     print(f"  escalations:     {faults_summary['escalations']:10.0f}")
-    if tape_failures:
+    if args.fail_tape:
         repair_summary = result.repair
         print(f"tape losses:       {faults_summary.get('tape_losses', 0):10.0f}")
         print(f"repair policy:     {repair_summary.get('policy', 'user-first'):>10s}")
@@ -1026,56 +988,27 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print(f"p95 sojourn:       {result.sojourn_percentile(95):10.1f} s")
 
     if args.out_dir:
-        from pathlib import Path
+        _export_telemetry(result, args.out_dir)
+    if not (args.slo or args.report):
+        return 0
+    from .obs import FleetRegistry
+    from .obs.fleet import snapshot_of_result
 
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        trace_path = out / "trace.json"
-        metrics_path = out / "metrics.jsonl"
-        result.write_trace(trace_path)
-        lines = result.write_metrics(metrics_path)
-        logger.info("trace:             %s  (open at https://ui.perfetto.dev)",
-                    trace_path)
-        logger.info("metrics:           %s  (%d lines)", metrics_path, lines)
-
-    status = 0
-    if args.slo or args.report:
-        from .obs import FleetRegistry
-        from .obs.fleet import snapshot_of_result
-
-        fleet = FleetRegistry()
-        fleet.fold(snapshot_of_result(result, point_meta={
-            "sweep": "chaos",
-            "scheme": result.scheme,
-            "kind": "chaos",
-        }))
-        slos = _parse_slo_args(args.slo)
-        verdicts = ()
-        if slos:
-            from .obs import evaluate_slos
-
-            verdicts = evaluate_slos(slos, fleet)
-        if args.report:
-            from .obs import write_dashboard
-
-            snapshots = result.registry.snapshots if result.registry else None
-            write_dashboard(
-                fleet,
-                args.report,
-                verdicts=verdicts,
-                snapshots=snapshots,
-                title="repro-tape chaos run",
-                subtitle=f"MTBF {args.mtbf:g} h / MTTR {args.mttr:g} h "
-                f"({args.distribution}), {len(result)} arrivals",
-            )
-            logger.info("dashboard:         %s", args.report)
-        if verdicts:
-            from .obs import format_verdicts
-
-            print()
-            print(format_verdicts(verdicts))
-            status = 0 if all(v.passed for v in verdicts) else 1
-    return status
+    fleet = FleetRegistry()
+    fleet.fold(snapshot_of_result(result, point_meta={
+        "sweep": "chaos",
+        "scheme": result.scheme,
+        "kind": "chaos",
+    }))
+    return _verdicts_and_dashboard(
+        fleet,
+        args.slo,
+        args.report,
+        snapshots=result.registry.snapshots if result.registry else None,
+        title="repro-tape chaos run",
+        subtitle=f"MTBF {args.mtbf:g} h / MTTR {args.mttr:g} h "
+        f"({args.distribution}), {len(result)} arrivals",
+    )
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -1083,14 +1016,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import pstats
     from time import perf_counter
 
-    from .experiments import paper_workload
-
-    settings = _settings(args)
-    workload = paper_workload(settings)
-    spec = settings.spec()
-    kwargs = {"m": args.m} if args.scheme == "parallel_batch" else {}
-    session = SimulationSession(workload, spec, scheme=make_scheme(args.scheme, **kwargs))
-    opensys = session.open(policy=args.policy, seek_planner=args.seek_planner)
+    opensys = _open_session(args)
 
     profiler = cProfile.Profile()
     start = perf_counter()
@@ -1118,31 +1044,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         stats.dump_stats(args.stats_out)
         print(f"raw profile:       {args.stats_out}")
     if args.trace_out:
-        from pathlib import Path
-
-        if not result.spans():
-            print(
-                "warning: no spans recorded (tracing disabled?); skipping "
-                "--trace-out export",
-                file=sys.stderr,
-            )
+        if result.spans():
+            _export_telemetry(result, args.trace_out)
         else:
-            out = Path(args.trace_out)
-            out.mkdir(parents=True, exist_ok=True)
-            trace_path = out / "trace.json"
-            metrics_path = out / "metrics.jsonl"
-            result.write_trace(trace_path)
-            lines = result.write_metrics(metrics_path)
-            print(f"trace:             {trace_path}  (open at https://ui.perfetto.dev)")
-            print(f"metrics:           {metrics_path}  ({lines} lines)")
+            logger.warning(
+                "warning: no spans recorded (tracing disabled?); skipping "
+                "--trace-out export"
+            )
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .des import trace_enabled_by_env
-    from .experiments import paper_workload
     from .obs import render_request_flame, validate_chrome_trace
 
     if not trace_enabled_by_env():
@@ -1153,31 +1066,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         return 2
 
-    settings = _settings(args)
-    workload = paper_workload(settings)
-    spec = settings.spec()
-    kwargs = {"m": args.m} if args.scheme == "parallel_batch" else {}
-    session = SimulationSession(workload, spec, scheme=make_scheme(args.scheme, **kwargs))
-    result = session.open(policy=args.policy).run(
+    result = _open_session(args).run(
         args.rate,
-        num_arrivals=args.requests,
+        num_arrivals=args.arrivals,
         seed=args.seed,
         sample_period_s=args.sample_period,
     )
-
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.json"
-    metrics_path = out / "metrics.jsonl"
-    doc = result.write_trace(trace_path)
-    lines = result.write_metrics(metrics_path)
+    doc = _export_telemetry(result, args.out_dir)
     print(f"policy:            {result.policy}")
     print(f"scheme:            {result.scheme}")
     print(f"requests served:   {len(result):10d}")
     print(f"horizon:           {result.horizon_s:10.1f} s")
     print(f"spans recorded:    {len(result.spans()):10d}")
-    print(f"trace:             {trace_path}  (open at https://ui.perfetto.dev)")
-    print(f"metrics:           {metrics_path}  ({lines} lines)")
     print()
 
     report = result.stage_report()
@@ -1206,13 +1106,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .obs import (
-        evaluate_slos,
-        format_verdicts,
-        read_fleet_jsonl,
-        read_metrics_jsonl,
-        write_dashboard,
-    )
+    from .obs import read_fleet_jsonl, read_metrics_jsonl
 
     path = Path(args.input)
     if not path.exists():
@@ -1242,22 +1136,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except (ValueError, KeyError):
         pass
 
-    slos = _parse_slo_args(args.slo)
-    verdicts = evaluate_slos(slos, fleet) if slos else ()
-    write_dashboard(
+    return _verdicts_and_dashboard(
         fleet,
+        args.slo,
         args.out,
-        verdicts=verdicts,
         snapshots=snapshots,
         title=args.title or "repro-tape fleet report",
         subtitle=str(path),
     )
-    logger.info("dashboard:         %s", args.out)
-    if verdicts:
-        print(format_verdicts(verdicts))
-        return 0 if all(v.passed for v in verdicts) else 1
-    return 0
-
 
 def _format_feed_record(record: dict) -> str:
     """One human line per fleet/feed/metrics JSONL record."""
@@ -1377,12 +1263,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     results = []
     for name in (args.scheme_a, args.scheme_b):
         session = SimulationSession(workload, spec, scheme=make_scheme(name))
-        results.append(session.evaluate(num_samples=args.samples, seed=args.seed))
+        results.append(session.evaluate(num_samples=args.num_samples, seed=args.seed))
     comparison = compare_paired(results[0], results[1], metric=args.metric)
     print(comparison)
     print(
         f"{args.scheme_a} had the lower {args.metric} in "
-        f"{comparison.frac_a_lower:.0%} of {args.samples} paired samples"
+        f"{comparison.frac_a_lower:.0%} of {args.num_samples} paired samples"
     )
     return 0
 
@@ -1435,7 +1321,9 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_args(parser, args)
     _configure_logging(args)
     return _COMMANDS[args.command](args)
 

@@ -2,10 +2,13 @@
 
 Experiments run at the paper's scale by default (30 000 objects, 300
 requests, Table-1 hardware, 200 sampled requests).  For quick smoke runs
-(CI, laptops) pass ``scale="small"`` or set ``REPRO_SCALE=small`` — the
+(CI, laptops) pass ``scale="small"`` (CLI: ``--scale small``) or set
+``REPRO_SCALE=small``, which :func:`default_settings` reads so that
+``REPRO_SCALE=small pytest benchmarks/`` runs every bench small — the
 workload and sample counts shrink by roughly an order of magnitude while
 keeping every structural property (several batches, capacity pressure,
-co-access sharing).
+co-access sharing).  The sample count has no env var: pass
+``num_samples`` (CLI: ``--num-samples``).
 """
 
 from __future__ import annotations
@@ -62,27 +65,31 @@ class ExperimentSettings:
     #: reject it — redundancy wraps static placements only.
     redundancy: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.scale not in ("paper", "small"):
+            raise ValueError(f"unknown scale {self.scale!r} (use 'paper' or 'small')")
+        if self.num_samples < 1:
+            raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
+
     @property
     def workload_params(self) -> WorkloadParams:
         if self.scale == "paper":
             return WorkloadParams(seed=self.workload_seed)
-        if self.scale == "small":
-            # One tenth of the paper in objects and tape capacity (see
-            # spec()): the data-to-mounted-capacity pressure (~6x) and the
-            # requests-span-tapes structure are preserved.
-            return WorkloadParams(
-                num_objects=2500,
-                num_requests=60,
-                request_size_bounds=(20, 40),
-                # Narrower raw bounds than the paper scale: the small
-                # system's 40 GB tapes must pack the largest object even
-                # after F7's 1.5x size sweep at ~80% utilization (the paper
-                # scale has the same object:tape ratio headroom).
-                object_size_bounds_mb=(100.0, 3000.0),
-                mean_object_size_mb=1780.0,
-                seed=self.workload_seed,
-            )
-        raise ValueError(f"unknown scale {self.scale!r} (use 'paper' or 'small')")
+        # One tenth of the paper in objects and tape capacity (see spec()):
+        # the data-to-mounted-capacity pressure (~6x) and the
+        # requests-span-tapes structure are preserved.
+        return WorkloadParams(
+            num_objects=2500,
+            num_requests=60,
+            request_size_bounds=(20, 40),
+            # Narrower raw bounds than the paper scale: the small system's
+            # 40 GB tapes must pack the largest object even after F7's 1.5x
+            # size sweep at ~80% utilization (the paper scale has the same
+            # object:tape ratio headroom).
+            object_size_bounds_mb=(100.0, 3000.0),
+            mean_object_size_mb=1780.0,
+            seed=self.workload_seed,
+        )
 
     @property
     def samples(self) -> int:
@@ -109,12 +116,10 @@ class ExperimentSettings:
 
 
 def default_settings(**overrides) -> ExperimentSettings:
-    """Settings honoring the ``REPRO_SCALE`` / ``REPRO_SAMPLES`` env vars."""
+    """Settings honoring the ``REPRO_SCALE`` env var; ``overrides`` win."""
     kwargs = {}
     if "REPRO_SCALE" in os.environ:
         kwargs["scale"] = os.environ["REPRO_SCALE"]
-    if "REPRO_SAMPLES" in os.environ:
-        kwargs["num_samples"] = int(os.environ["REPRO_SAMPLES"])
     kwargs.update(overrides)
     return ExperimentSettings(**kwargs)
 

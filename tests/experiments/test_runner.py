@@ -37,15 +37,25 @@ class TestSettings:
         with pytest.raises(ValueError):
             ExperimentSettings(scale="giant").workload_params
 
+    @pytest.mark.parametrize("fields", [
+        {"scale": "giant"},
+        {"num_samples": 0},
+        {"num_samples": -5},
+    ])
+    def test_bad_fields_rejected_at_construction(self, fields):
+        with pytest.raises(ValueError):
+            ExperimentSettings(**fields)
+
     def test_spec_with_library_override(self):
         assert ExperimentSettings().spec(num_libraries=5).num_libraries == 5
 
     def test_env_var_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "small")
+        assert default_settings().scale == "small"
+
+    def test_sample_count_has_no_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_SAMPLES", "17")
-        s = default_settings()
-        assert s.scale == "small"
-        assert s.num_samples == 17
+        assert default_settings().num_samples == ExperimentSettings().num_samples
 
     def test_explicit_overrides_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "small")
