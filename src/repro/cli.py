@@ -149,8 +149,9 @@ def _fault_at(flag: str, what: str):
     """argparse ``type=`` for ``--fail``/``--fail-tape``: ``NAME=TIME`` ->
     ``(name, seconds)``.
 
-    A malformed value prints the one line ``error: <flag> ...`` and exits 2
-    right here, without argparse's usage block.
+    A malformed value prints the one line ``error: <flag> ...`` that these
+    flags have always printed and exits 2 right here, without argparse's
+    usage block.
     """
 
     def parse(text: str) -> Tuple[str, float]:
@@ -646,12 +647,12 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             f"{drives} drives per library stays mounted), got {args.m}"
         )
     failures = {"--fail": _fault_map(args, "fail"), "--fail-tape": _fault_map(args, "fail_tape")}
-    if not any(failures.values()):
+    given = [flag for flag, ids in failures.items() if ids]
+    if not given:
         return
     policy = getattr(args, "policy", "concurrent")
-    flag = "--fail" if failures["--fail"] else "--fail-tape"
     if not getattr(SCHEDULING_POLICIES[policy], "supports_faults", False):
-        error(f"argument {flag}: requires --policy concurrent, not {policy!r}")
+        error(f"argument {given[0]}: requires --policy concurrent, not {policy!r}")
     system = TapeSystem(spec)
     for flag, what, known in (
         ("--fail", "drive", known_drive_names(system)),
