@@ -63,7 +63,6 @@ from .sim import (
     RequestMetrics,
     SimulationSession,
     evaluate_scheme,
-    simulate_open_system,
     simulate_request,
 )
 from .workload import (
@@ -124,7 +123,6 @@ __all__ = [
     "simulate_request",
     "OpenSystem",
     "OpenSystemResult",
-    "simulate_open_system",
     "RequestMetrics",
     "EvaluationResult",
     # workload

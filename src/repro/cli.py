@@ -49,6 +49,7 @@ import math
 import sys
 from typing import Dict, List, Optional, Tuple
 
+from .des import trace_enabled_by_env
 from .experiments import (
     ALL_EXPERIMENTS,
     SWEEP_EXPERIMENTS,
@@ -59,11 +60,12 @@ from .experiments import (
     default_settings,
 )
 from .hardware import TapeSystem
-from .placement import available_schemes, make_scheme
+from .placement import PlacementError, available_schemes, make_scheme
 from .redundancy import parse_redundancy, wrap_scheme
 from .sim import (
     READ_SELECTIONS,
     REPAIR_POLICIES,
+    DriveFailure,
     SimulationSession,
     TapeFailure,
     available_scheduling_policies,
@@ -623,6 +625,14 @@ def _fault_map(args: argparse.Namespace, dest: str) -> Dict[str, float]:
     return dict(getattr(args, dest, None) or ())
 
 
+#: The flag (and its dest) through which each command exports a span trace.
+_TRACE_EXPORTS = {
+    "trace": ("--out-dir", "out_dir"),
+    "chaos": ("--out-dir", "out_dir"),
+    "profile": ("--trace-out", "trace_out"),
+}
+
+
 def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Cross-flag rules, checked after parsing and before any workload is built.
 
@@ -630,6 +640,8 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     ``parser.error`` (one line, exit 2):
 
     * ``--m`` must be in 1..d-1 for the chosen scale's drives per library;
+    * a trace export (``trace``, ``chaos --out-dir``, ``profile
+      --trace-out``) needs tracing, which ``REPRO_TRACE`` can switch off;
     * ``--fail``/``--fail-tape`` need a policy that supports faults and ids
       that name a drive/tape of the configured system.
     """
@@ -645,6 +657,12 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         error(
             f"argument --m: must be in 1..{drives - 1} (at least one of the "
             f"{drives} drives per library stays mounted), got {args.m}"
+        )
+    flag, dest = _TRACE_EXPORTS.get(args.command, (None, None))
+    if dest and getattr(args, dest) and not trace_enabled_by_env():
+        error(
+            f"argument {flag}: tracing is disabled by REPRO_TRACE in the "
+            "environment; unset it (or set REPRO_TRACE=1) to export a trace"
         )
     failures = {"--fail": _fault_map(args, "fail"), "--fail-tape": _fault_map(args, "fail_tape")}
     given = [flag for flag, ids in failures.items() if ids]
@@ -855,9 +873,10 @@ def _open_session(args: argparse.Namespace, faults=(), **options):
     """Settings -> workload -> scheme (-> redundancy) -> session -> open system.
 
     The one construction path behind ``open``, ``chaos``, ``profile`` and
-    ``trace``.  ``faults`` are armed ahead of any ``--fail-tape`` losses;
-    ``options`` go to :meth:`SimulationSession.open` as they are.  A flag the
-    command does not take leaves that setting at the library default.
+    ``trace``.  ``faults`` are armed first, then the ``--fail-tape`` losses,
+    then the ``--fail`` drive deaths, each in sorted id order; ``options`` go
+    to :meth:`SimulationSession.open` as they are.  A flag the command does
+    not take leaves that setting at the library default.
     """
     from .experiments import paper_workload
 
@@ -868,10 +887,13 @@ def _open_session(args: argparse.Namespace, faults=(), **options):
         TapeFailure(tape, at_s=at_s)
         for tape, at_s in sorted(_fault_map(args, "fail_tape").items())
     )
+    drive_losses = tuple(
+        DriveFailure(drive, at_s=at_s)
+        for drive, at_s in sorted(_fault_map(args, "fail").items())
+    )
     return session.open(
         policy=getattr(args, "policy", "concurrent"),
-        failures=_fault_map(args, "fail") or None,
-        faults=tuple(faults) + tape_losses,
+        faults=tuple(faults) + tape_losses + drive_losses,
         seek_planner=getattr(args, "seek_planner", None),
         repair_policy=getattr(args, "repair_policy", None),
         read_selection=getattr(args, "read_selection", None) or "least-loaded",
@@ -1045,27 +1067,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         stats.dump_stats(args.stats_out)
         print(f"raw profile:       {args.stats_out}")
     if args.trace_out:
-        if result.spans():
-            _export_telemetry(result, args.trace_out)
-        else:
-            logger.warning(
-                "warning: no spans recorded (tracing disabled?); skipping "
-                "--trace-out export"
-            )
+        _export_telemetry(result, args.trace_out)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .des import trace_enabled_by_env
     from .obs import render_request_flame, validate_chrome_trace
-
-    if not trace_enabled_by_env():
-        print(
-            "error: tracing is disabled by REPRO_TRACE in the environment; "
-            "unset it (or set REPRO_TRACE=1) to export a trace",
-            file=sys.stderr,
-        )
-        return 2
 
     result = _open_session(args).run(
         args.rate,
@@ -1326,7 +1333,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _check_args(parser, args)
     _configure_logging(args)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except PlacementError as exc:
+        # A placement that does not fit depends on the generated data, so
+        # no flag's domain can catch it before the workload is built.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

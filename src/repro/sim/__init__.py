@@ -13,7 +13,6 @@ from .faults import (
     TapeFailure,
     TapeWearProcess,
     TransientFaults,
-    failures_to_specs,
     known_drive_names,
     known_tape_names,
 )
@@ -32,7 +31,6 @@ from .opensystem import (
     OpenSystem,
     OpenSystemResult,
     available_scheduling_policies,
-    simulate_open_system,
 )
 from .repair import REPAIR_POLICIES, RepairManager
 from .replacement import REPLACEMENT_POLICIES, available_policies, replacement_key
@@ -59,7 +57,6 @@ __all__ = [
     "simulate_fcfs_queue",
     "OpenSystem",
     "OpenSystemResult",
-    "simulate_open_system",
     "SCHEDULING_POLICIES",
     "READ_SELECTIONS",
     "REPAIR_POLICIES",
@@ -75,7 +72,6 @@ __all__ = [
     "RetryPolicy",
     "FaultEscalation",
     "FaultInjector",
-    "failures_to_specs",
     "known_drive_names",
     "known_tape_names",
     "SimulationSession",

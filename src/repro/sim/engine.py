@@ -27,16 +27,17 @@ the same spans, with computed times.  Two drives that finish at one instant
 act in the order their job or exchange started.  Per-step service (one
 event per seek, transfer and switch stage) remains where something does
 observe or cut those boundaries: a disk stage that admits each transfer
-(``disk_bandwidth_mb_s``), a drive with an armed failure watchdog, and the
-concurrent open-system worker, whose dispatcher reads busy drives' mount
-and head state.
+(``disk_bandwidth_mb_s``), and the concurrent open-system worker, whose
+dispatcher reads busy drives' mount and head state and whose drives fault
+specs can interrupt mid-stage.
 
 The machinery is factored as :class:`RequestExecution` so the same
-planning / drive-process / failure-rescue logic can run either on a
-throwaway :class:`~repro.des.Environment` (this module's closed-loop
-:func:`simulate_request`) or as one of many concurrent request processes
-on a session's long-lived shared environment
-(:mod:`repro.sim.opensystem`).
+planning / drive-process logic can run either on a throwaway
+:class:`~repro.des.Environment` (this module's closed-loop
+:func:`simulate_request`) or as one exclusive request process on a
+session's long-lived shared environment (the ``serial-fcfs`` policy of
+:mod:`repro.sim.opensystem`).  Drive failures are injected only there, on
+the ``concurrent`` policy, through :mod:`repro.sim.faults` specs.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from collections import deque
 from typing import Deque, Dict, Mapping, Optional, Union
 
 from ..catalog import LocationIndex, Request
-from ..des import Environment, Interrupt, Resource, Trace
+from ..des import Environment, Resource, Trace
 from ..hardware import TapeDrive, TapeLibrary, TapeId, TapeSystem
 from .metrics import DriveServiceRecord, RequestMetrics
 from .scheduling import TapeJob, build_library_plan
@@ -82,7 +83,6 @@ class RequestExecution:
         tape_priority: Optional[Mapping[TapeId, float]] = None,
         trace: Optional[Trace] = None,
         replacement_policy: str = "least_popular",
-        failures: Optional[Mapping[str, float]] = None,
         disk: Optional[Resource] = None,
         parent: Optional[int] = None,
         trace_request: Optional[int] = None,
@@ -118,7 +118,6 @@ class RequestExecution:
         self.runtimes: list[_LibraryRuntime] = []
 
         tape_priority = tape_priority or {}
-        failures = dict(failures or {})
 
         for library in system.libraries:
             plan = build_library_plan(
@@ -136,7 +135,7 @@ class RequestExecution:
             queue: Deque[TapeJob] = deque(plan.offline)
             self.queues[library.id] = queue
             runtime = _LibraryRuntime(
-                env, library, queue, self.records, trace, disk, failures,
+                env, library, queue, self.records, trace, disk,
                 request_id=self._trace_request, parent_id=parent, planner=planner,
             )
             self.runtimes.append(runtime)
@@ -152,31 +151,20 @@ class RequestExecution:
                 runtime.spawn(library.drives[idx], job, switchable=idx in plan.switch_order)
 
     def wait(self):
-        """Yield until every drive process (including rescuers) finishes."""
-        while True:
-            alive = [
-                proc
-                for runtime in self.runtimes
-                for proc in runtime.processes
-                if proc.is_alive
-            ]
-            if not alive:
-                return
+        """Yield until every drive process finishes."""
+        alive = [
+            proc
+            for runtime in self.runtimes
+            for proc in runtime.processes
+            if proc.is_alive
+        ]
+        if alive:
             yield self.env.all_of(alive)
 
     def finalize(self) -> RequestMetrics:
         """Check all work was served and aggregate the drive records."""
         for lib_id, queue in self.queues.items():
             if queue:
-                library = self.system.libraries[lib_id]
-                survivors = [
-                    d for d in library.drives if not d.pinned and not d.failed
-                ]
-                if not survivors:
-                    raise RuntimeError(
-                        f"library {lib_id} has {len(queue)} unserved tape jobs "
-                        "and no surviving switchable drive"
-                    )
                 raise RuntimeError(
                     f"library {lib_id} finished with {len(queue)} unserved tape jobs"
                 )
@@ -208,7 +196,6 @@ def simulate_request(
     tape_priority: Optional[Mapping[TapeId, float]] = None,
     trace: Optional[Trace] = None,
     replacement_policy: str = "least_popular",
-    failures: Optional[Mapping[str, float]] = None,
     seek_planner: Union[None, str, SeekPlanner] = None,
 ) -> RequestMetrics:
     """Serve ``request`` on ``system``; returns its metrics.
@@ -226,13 +213,9 @@ def simulate_request(
     :class:`~repro.sim.seekplanner.SeekPlanner` instance, or ``None`` for
     the default ``greedy-sweep``.
 
-    ``failures`` injects permanent drive failures for this request: a map
-    from drive name (e.g. ``"L0.D3"``) to the simulated time at which the
-    drive dies.  A failing drive abandons its unfinished extents (the
-    in-flight extent restarts from scratch), its cartridge is pulled, and
-    the leftover work re-queues for the library's surviving switch drives
-    — the response time grows accordingly.  All requested bytes are still
-    delivered unless a library has *no* surviving switchable drive.
+    Drives marked failed beforehand (``SimulationSession.fail_drives``) take
+    no part; failures *during* service are an open-system study (see
+    :class:`~repro.sim.faults.DriveFailure`).
     """
     env = Environment()
     # Optional disk-stage admission control (spec.disk_bandwidth_mb_s):
@@ -247,7 +230,6 @@ def simulate_request(
         tape_priority,
         trace,
         replacement_policy,
-        failures,
         disk,
         seek_planner=seek_planner,
     )
@@ -256,12 +238,8 @@ def simulate_request(
 
 
 class _LibraryRuntime:
-    """Per-library execution state for one request simulation.
-
-    Owns the offline-tape queue and the set of currently running drive
-    processes, so a failing drive can immediately recruit idle surviving
-    drives for its re-queued work (inside the event loop, not after it).
-    """
+    """Per-library execution state for one request simulation: the
+    offline-tape queue the drive processes pull from, and those processes."""
 
     def __init__(
         self,
@@ -271,7 +249,6 @@ class _LibraryRuntime:
         records: Dict[str, DriveServiceRecord],
         trace: Trace,
         disk: Optional[Resource],
-        failures: Mapping[str, float],
         request_id: Optional[int] = None,
         parent_id: Optional[int] = None,
         planner: Optional[SeekPlanner] = None,
@@ -282,121 +259,61 @@ class _LibraryRuntime:
         self.records = records
         self.trace = trace
         self.disk = disk
-        self.failures = failures
         self.request_id = request_id
         self.parent_id = parent_id
         self.planner = resolve_seek_planner(planner)
-        self.active: set = set()
-        #: Every drive process spawned for this request (watchdogs excluded),
-        #: so a shared-environment caller can wait for their completion.
+        #: Every drive process spawned for this request, so a
+        #: shared-environment caller can wait for their completion.
         self.processes: list = []
 
     def spawn(self, drive: TapeDrive, first_job: Optional[TapeJob], switchable: bool) -> None:
-        """Start a drive process, arming its failure watchdog if scheduled."""
-        if drive.failed or drive.id.index in self.active:
-            return
-        self.active.add(drive.id.index)
-        fail_at = self.failures.get(str(drive.id))
-        armed = fail_at is not None and fail_at >= self.env.now
-        # Strides need a drive nothing interrupts and extents no disk gate
-        # admits one by one (see ``_serve_job``).
-        stride = self.disk is None and not armed
-        process = self.env.process(
-            self._drive_process(drive, first_job, switchable, stride)
+        """Start one drive's process for this request."""
+        self.processes.append(
+            self.env.process(self._drive_process(drive, first_job, switchable))
         )
-        self.processes.append(process)
-        if armed:
 
-            def watchdog(delay=fail_at - self.env.now, proc=process):
-                yield self.env.timeout(delay)
-                if proc.is_alive:
-                    proc.interrupt("drive-failure")
-
-            self.env.process(watchdog())
-
-    def rescue(self) -> None:
-        """Recruit every idle, surviving switchable drive onto the queue.
-
-        Pinned drives join only when no unpinned drive survives (degraded
-        operation): pinning is policy, not physics.
-        """
-        if not self.queue:
-            return
-        survivors = [d for d in self.library.drives if not d.failed and not d.pinned]
-        if not survivors:
-            survivors = [d for d in self.library.drives if not d.failed]
-        for drive in survivors:
-            self.spawn(drive, None, switchable=True)
-
-    def _drive_process(
-        self, drive: TapeDrive, first_job: Optional[TapeJob], switchable: bool, stride: bool
-    ):
-        """One drive's behaviour for one request: serve, then drain the queue.
-
-        An injected drive failure arrives as an :class:`Interrupt`: the
-        drive is marked failed, its cartridge is pulled (so a rescuer can
-        remount it), every unfinished extent — including the one in flight,
-        which restarts from scratch — re-queues, and idle surviving drives
-        are recruited immediately.
-        """
+    def _drive_process(self, drive: TapeDrive, first_job: Optional[TapeJob], switchable: bool):
+        """One drive's behaviour for one request: serve, then drain the queue."""
         env, library, queue = self.env, self.library, self.queue
         records, trace, disk = self.records, self.trace, self.disk
         request_id, parent_id = self.request_id, self.parent_id
         planner = self.planner
+        # Strides need extents no disk gate admits one by one (see
+        # ``_serve_job``).
+        stride = disk is None
         record = None
-        current: Optional[TapeJob] = first_job
-        try:
-            if first_job is not None:
+        if first_job is not None:
+            record = records.setdefault(str(drive.id), DriveServiceRecord(str(drive.id)))
+            with trace.span(
+                env, "tape_job", parent=parent_id, request=request_id,
+                drive=str(drive.id), tape=str(first_job.tape_id), mounted=True,
+            ) as job_ctx:
+                yield from _serve_job(
+                    env, drive, first_job, record, trace, disk,
+                    parent=job_ctx.id, request=request_id, planner=planner,
+                    stride=stride,
+                )
+            record.completion_s = env.now
+        if not switchable:
+            return
+        while queue:
+            job = queue.popleft()
+            if record is None:
                 record = records.setdefault(str(drive.id), DriveServiceRecord(str(drive.id)))
-                with trace.span(
-                    env, "tape_job", parent=parent_id, request=request_id,
-                    drive=str(drive.id), tape=str(first_job.tape_id), mounted=True,
-                ) as job_ctx:
-                    yield from _serve_job(
-                        env, drive, first_job, record, trace, disk,
-                        parent=job_ctx.id, request=request_id, planner=planner,
-                        stride=stride,
-                    )
-                record.completion_s = env.now
-            current = None
-            if not switchable:
-                return
-            while queue:
-                job = queue.popleft()
-                current = job
-                if record is None:
-                    record = records.setdefault(str(drive.id), DriveServiceRecord(str(drive.id)))
-                with trace.span(
-                    env, "tape_job", parent=parent_id, request=request_id,
-                    drive=str(drive.id), tape=str(job.tape_id),
-                ) as job_ctx:
-                    yield from _switch_to(
-                        env, library, drive, job.tape_id, record, trace,
-                        parent=job_ctx.id, request=request_id, stride=stride,
-                    )
-                    yield from _serve_job(
-                        env, drive, job, record, trace, disk,
-                        parent=job_ctx.id, request=request_id, planner=planner,
-                        stride=stride,
-                    )
-                current = None
-                record.completion_s = env.now
-        except Interrupt:
-            drive.failed = True
-            trace.record(
-                "drive_failure", env.now, env.now,
-                parent=parent_id, request=request_id, drive=str(drive.id),
-            )
-            if drive.mounted is not None:
-                drive.unmount()  # cartridge pulled for the rescuer
-            if record is not None:
-                record.completion_s = env.now
-            if current is not None and not current.is_done:
-                queue.append(current.split_remaining())
-            self.active.discard(drive.id.index)
-            self.rescue()
-        else:
-            self.active.discard(drive.id.index)
+            with trace.span(
+                env, "tape_job", parent=parent_id, request=request_id,
+                drive=str(drive.id), tape=str(job.tape_id),
+            ) as job_ctx:
+                yield from _switch_to(
+                    env, library, drive, job.tape_id, record, trace,
+                    parent=job_ctx.id, request=request_id, stride=stride,
+                )
+                yield from _serve_job(
+                    env, drive, job, record, trace, disk,
+                    parent=job_ctx.id, request=request_id, planner=planner,
+                    stride=stride,
+                )
+            record.completion_s = env.now
 
 
 def _serve_job(

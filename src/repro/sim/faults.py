@@ -1,14 +1,12 @@
 """Declarative fault injection & recovery for the open-system simulator.
 
 The paper's model assumes every drive and robot arm is healthy for the
-whole run; PR 1's open system only supported one-shot, permanent,
-absolute-time drive deaths (``failures={"L0.D3": 1800.0}``).  This module
-replaces that ad-hoc map with composable, declarative fault *specs*:
+whole run.  This module describes what goes wrong as composable,
+declarative fault *specs*, the only way to fail hardware mid-run:
 
 :class:`DriveFailure`
     A one-shot drive death at an absolute time, optionally repaired a
-    fixed delay later.  The legacy ``failures=`` mapping is kept as sugar
-    for a list of these (see :func:`failures_to_specs`).
+    fixed delay later.
 
 :class:`DriveFaultProcess`
     A stochastic alternating fail/repair renewal process per targeted
@@ -43,8 +41,8 @@ metrics registry, and records ``fault_*`` spans on the trace.
 Lifecycle: recurring processes are (re)armed at each ``run()`` and stood
 down when the last planned arrival completes, so the environment drains
 instead of ticking MTBF clocks forever.  One-shot specs intentionally run
-to completion even past the last arrival (matching the legacy watchdog
-semantics, whose horizon extended to the failure instant).  A process
+to completion even past the last arrival (the horizon extends to the
+failure instant).  A process
 that is mid-repair at stand-down finishes the repair first — chaos runs
 therefore never leak an injector-failed drive across runs; only transient
 *escalations* are permanent (operator intervention required).
@@ -75,7 +73,6 @@ __all__ = [
     "RetryPolicy",
     "FaultEscalation",
     "FaultInjector",
-    "failures_to_specs",
     "known_drive_names",
     "known_tape_names",
 ]
@@ -220,9 +217,8 @@ class FaultSpec:
 class DriveFailure(FaultSpec):
     """One-shot drive death at ``at_s``; optionally repaired later.
 
-    With ``repair_after_s=None`` this reproduces the legacy
-    ``failures={drive: at_s}`` semantics exactly (permanent death, armed
-    even if the failure instant lands after the last arrival completes).
+    With ``repair_after_s=None`` the death is permanent, and it is armed
+    even if the failure instant lands after the last arrival completes.
     """
 
     drive: str
@@ -379,14 +375,6 @@ class TapeWearProcess(FaultSpec):
             raise ValueError(f"weibull shape must be positive, got {self.shape}")
         if self.tapes is not None:
             _check_tape_names(system, self.tapes)
-
-
-def failures_to_specs(failures: Dict[str, float]) -> Tuple[DriveFailure, ...]:
-    """The legacy ``failures=`` mapping as one-shot permanent specs."""
-    return tuple(
-        DriveFailure(drive=name, at_s=float(at_s))
-        for name, at_s in sorted(failures.items())
-    )
 
 
 def _draw(rng: np.random.Generator, distribution: str, mean_s: float, shape: float) -> float:
@@ -604,8 +592,8 @@ class FaultInjector:
         Processes waiting out a time-to-failure are interrupted; a process
         mid-repair finishes that repair first (the drive comes back up)
         and then exits — chaos runs never leak an injector-failed drive.
-        One-shot specs are left to run to completion, matching the legacy
-        watchdog semantics.
+        One-shot specs are left to run to completion (the horizon extends
+        to their instant).
         """
         self._stopped = True
         recurring, self._recurring = self._recurring, []

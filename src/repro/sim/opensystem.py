@@ -20,11 +20,11 @@ overlap:
     libraries — or disjoint drives of one library — overlap fully, while
     the physical serialization points carry over unchanged: the robot arm
     (capacity-1 per library), the disk-stream cap, and the
-    one-cartridge-one-drive invariant.  Drive failures interrupt the
-    persistent drive worker; leftover extents re-queue and surviving
-    drives rescue them, as in the closed-loop engine.
+    one-cartridge-one-drive invariant.  Drive failures (fault specs, see
+    :mod:`repro.sim.faults`) interrupt the persistent drive worker;
+    leftover extents re-queue and surviving drives rescue them.
 
-Entry points: ``session.open(policy=...)`` or :func:`simulate_open_system`.
+Entry point: ``session.open(policy=...).run(...)``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from ..hardware import ObjectExtent, TapeDrive, TapeLibrary, TapeId
 from ..obs import MetricsRegistry
 from ..redundancy.dispatch import count_fallbacks, select_members
 from .engine import RequestExecution, _serve_job, _switch_to
-from .faults import FaultEscalation, FaultInjector, FaultSpec, failures_to_specs
+from .faults import FaultEscalation, FaultInjector, FaultSpec
 from .metrics import DriveServiceRecord, RequestMetrics, WindowStat, sliding_window_stats
 from .queueing import QueuedRequestRecord, QueueingResult
 from .scheduling import TapeJob, estimate_job_time
@@ -52,7 +52,6 @@ from .seekplanner import SeekPlanner, resolve_seek_planner
 __all__ = [
     "OpenSystem",
     "OpenSystemResult",
-    "simulate_open_system",
     "SCHEDULING_POLICIES",
     "READ_SELECTIONS",
     "available_scheduling_policies",
@@ -200,9 +199,8 @@ class SerialFCFSPolicy:
     """
 
     name = "serial-fcfs"
-    #: Rejected at :class:`OpenSystem` construction when fault specs (or the
-    #: legacy ``failures=`` map) are present: the policy arms no recovery
-    #: hooks between requests.
+    #: Rejected at :class:`OpenSystem` construction when fault specs are
+    #: present: the policy arms no recovery hooks between requests.
     supports_faults = False
 
     def bind(self, opensys: "OpenSystem") -> None:
@@ -233,7 +231,6 @@ class SerialFCFSPolicy:
                 os.tape_priority,
                 os.trace,
                 os.replacement_policy,
-                None,
                 os.disk,
                 parent=parent,
                 trace_request=trace_key,
@@ -458,38 +455,55 @@ class ConcurrentPolicy:
         djobs = self._submit_tape_jobs(jobs, trace_key, parent, records)
 
         yield env.all_of([dj.done for dj in djobs])
+        return self._outcome(
+            request, arrival_s, total_mb, len(jobs), records, djobs,
+            aborted=any(dj.aborted for dj in djobs),
+        )
 
-        aborted = any(dj.aborted for dj in djobs)
+    def _outcome(
+        self,
+        request: Request,
+        arrival_s: float,
+        total_mb: float,
+        num_tapes: int,
+        records: Dict[str, DriveServiceRecord],
+        djobs: List[_DispatchedJob],
+        aborted: bool,
+    ) -> _Outcome:
+        """A finished request's ``(record, metrics)`` from its drive records.
+
+        Service starts when a drive first began any of ``djobs``; a request
+        no drive touched (every candidate drive in some library was already
+        down with no repair pending) gets empty aborted metrics.
+        """
+        now = self.os.env.now
         if records:
             metrics = RequestMetrics.from_drive_records(
                 request_id=request.id,
                 size_mb=total_mb,
-                num_tapes=len(jobs),
+                num_tapes=num_tapes,
                 records=list(records.values()),
                 start_s=arrival_s,
                 aborted=aborted,
             )
         else:
-            # Aborted before any drive touched it: every candidate drive in
-            # some library was already down with no repair pending.
             metrics = RequestMetrics(
                 request_id=request.id,
                 size_mb=total_mb,
-                response_s=env.now - arrival_s,
+                response_s=now - arrival_s,
                 seek_s=0.0,
                 transfer_s=0.0,
-                num_tapes=len(jobs),
+                num_tapes=num_tapes,
                 num_switches=0,
                 num_drives=0,
                 aborted=True,
             )
         starts = [dj.started_at for dj in djobs if dj.started_at is not None]
-        started = min(starts) if starts else env.now
         record = QueuedRequestRecord(
             request_id=request.id,
             arrival_s=arrival_s,
-            start_s=started,
-            finish_s=env.now,
+            start_s=min(starts) if starts else now,
+            finish_s=now,
             size_mb=total_mb,
             aborted=aborted,
         )
@@ -628,39 +642,10 @@ class ConcurrentPolicy:
 
         inst["fallbacks"].inc(fallbacks)
         inst["digest"].record(float(fallbacks))
-        aborted = unservable
-        if records:
-            metrics = RequestMetrics.from_drive_records(
-                request_id=request.id,
-                size_mb=total_mb,
-                num_tapes=len(submitted_tapes),
-                records=list(records.values()),
-                start_s=arrival_s,
-                aborted=aborted,
-            )
-        else:
-            metrics = RequestMetrics(
-                request_id=request.id,
-                size_mb=total_mb,
-                response_s=env.now - arrival_s,
-                seek_s=0.0,
-                transfer_s=0.0,
-                num_tapes=len(submitted_tapes),
-                num_switches=0,
-                num_drives=0,
-                aborted=True,
-            )
-        starts = [dj.started_at for dj in all_djobs if dj.started_at is not None]
-        started = min(starts) if starts else env.now
-        record = QueuedRequestRecord(
-            request_id=request.id,
-            arrival_s=arrival_s,
-            start_s=started,
-            finish_s=env.now,
-            size_mb=total_mb,
-            aborted=aborted,
+        return self._outcome(
+            request, arrival_s, total_mb, len(submitted_tapes), records, all_djobs,
+            aborted=unservable,
         )
-        return record, metrics
 
     def check_drained(self) -> None:
         for dispatcher in self.dispatchers.values():
@@ -1380,14 +1365,10 @@ class OpenSystem:
         The placed :class:`~repro.sim.session.SimulationSession`.
     policy:
         A name from :data:`SCHEDULING_POLICIES` (default ``"concurrent"``).
-    failures:
-        Optional drive name -> absolute failure time map — legacy sugar for
-        one-shot permanent :class:`~repro.sim.faults.DriveFailure` specs
-        (``concurrent`` policy only).
     faults:
         Optional iterable of :class:`~repro.sim.faults.FaultSpec`s, armed
-        at each :meth:`run` (``concurrent`` policy only).  Both fault specs
-        and the legacy map are validated here, before any simulation runs.
+        at each :meth:`run` (``concurrent`` policy only) and validated
+        here, before any simulation runs.
     fault_seed:
         Root seed for the fault processes' random substreams (independent
         of the arrival-stream seed passed to :meth:`run`).
@@ -1411,7 +1392,6 @@ class OpenSystem:
         self,
         session,
         policy: str = "concurrent",
-        failures: Optional[Dict[str, float]] = None,
         faults: Optional[Tuple[FaultSpec, ...]] = None,
         fault_seed: int = 0,
         seek_planner: Union[None, str, SeekPlanner] = None,
@@ -1430,7 +1410,6 @@ class OpenSystem:
         self.replacement_policy = session.replacement_policy
         self.displacement_key = session.displacement_key
         self.tape_priority = session.placement.tape_priority
-        self.failures = dict(failures or {})
 
         try:
             factory = SCHEDULING_POLICIES[policy]
@@ -1439,9 +1418,7 @@ class OpenSystem:
             raise ValueError(
                 f"unknown scheduling policy {policy!r}; known: {known}"
             ) from None
-        self.fault_specs: Tuple[FaultSpec, ...] = tuple(faults or ()) + (
-            failures_to_specs(self.failures)
-        )
+        self.fault_specs: Tuple[FaultSpec, ...] = tuple(faults or ())
         for spec in self.fault_specs:
             spec.validate(self.system)
         if self.fault_specs and not getattr(factory, "supports_faults", False):
@@ -1678,29 +1655,3 @@ class OpenSystem:
             f"t={self.env.now:.1f}s>"
         )
 
-
-def simulate_open_system(
-    session,
-    arrival_rate_per_hour: float,
-    num_arrivals: int = 100,
-    seed: int = 0,
-    policy: str = "concurrent",
-    failures: Optional[Dict[str, float]] = None,
-    faults: Optional[Tuple[FaultSpec, ...]] = None,
-    fault_seed: int = 0,
-    sample_period_s: Optional[float] = None,
-    seek_planner: Union[None, str, SeekPlanner] = None,
-    repair_policy: Optional[str] = None,
-    read_selection: str = "least-loaded",
-) -> OpenSystemResult:
-    """One-shot convenience: build an :class:`OpenSystem`, run one stream."""
-    return OpenSystem(
-        session, policy=policy, failures=failures, faults=faults,
-        fault_seed=fault_seed, seek_planner=seek_planner,
-        repair_policy=repair_policy, read_selection=read_selection,
-    ).run(
-        arrival_rate_per_hour,
-        num_arrivals=num_arrivals,
-        seed=seed,
-        sample_period_s=sample_period_s,
-    )

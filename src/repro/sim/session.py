@@ -94,7 +94,6 @@ class SimulationSession:
     def open(
         self,
         policy: str = "concurrent",
-        failures: Optional[dict] = None,
         faults: Optional[tuple] = None,
         fault_seed: int = 0,
         seek_planner=None,
@@ -111,9 +110,9 @@ class SimulationSession:
         ``"concurrent"`` overlaps requests across libraries and drives).
 
         ``faults`` arms declarative :class:`~repro.sim.faults.FaultSpec`s
-        (stochastic drive fail/repair, robot outages, transient errors);
-        ``failures`` is the legacy one-shot map (drive name -> failure
-        time).  Both validate here, before any simulation starts.
+        (one-shot or stochastic drive fail/repair, robot outages, transient
+        errors, tape losses); they validate here, before any simulation
+        starts.
         ``seek_planner`` overrides the session's planner for this open
         system only.  ``repair_policy`` selects how media-loss repair
         traffic competes with user restores (see
@@ -124,22 +123,18 @@ class SimulationSession:
         from .opensystem import OpenSystem
 
         return OpenSystem(
-            self, policy=policy, failures=failures, faults=faults,
+            self, policy=policy, faults=faults,
             fault_seed=fault_seed, seek_planner=seek_planner,
             repair_policy=repair_policy, read_selection=read_selection,
         )
 
-    def serve(self, request: Request, failures: Optional[dict] = None) -> RequestMetrics:
+    def serve(self, request: Request) -> RequestMetrics:
         """Serve one request to completion on an exclusive environment.
 
         This is the paper's closed-loop model (requests arrive "one by one
         with long time interval"): mounted tapes / head positions persist
         between calls, but no two requests are ever in flight together —
-        use :meth:`open` for that.
-
-        ``failures`` optionally injects drive failures during *this*
-        request (drive name -> failure time); see
-        :func:`~repro.sim.engine.simulate_request`.
+        use :meth:`open` for that, and for drive failures during service.
         """
         self._as_placed = False
         return simulate_request(
@@ -149,7 +144,6 @@ class SimulationSession:
             self.placement.tape_priority,
             self.trace,
             self.replacement_policy,
-            failures=failures,
             seek_planner=self.seek_planner,
         )
 

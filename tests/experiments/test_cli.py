@@ -127,13 +127,19 @@ class TestCommands:
         assert "trace validation OK" in stdout
         assert "sojourn" in stdout  # at least one flame rendered
 
-    def test_trace_command_refuses_when_tracing_disabled(self, tmp_path, monkeypatch):
+    def test_trace_command_refuses_when_tracing_disabled(self, tmp_path, capsys, monkeypatch):
+        """Every span export (``trace``, ``chaos --out-dir``, ``profile
+        --trace-out``) is refused before any workload is built."""
         monkeypatch.setenv("REPRO_TRACE", "0")
-        rc = main(
-            ["trace", "--requests", "5", "--scale", "small",
-             "--out-dir", str(tmp_path / "t")]
-        )
-        assert rc == 2
+        _no_workload(monkeypatch)
+        out = str(tmp_path / "t")
+        for argv, flag in (
+            (["trace", "--requests", "5", "--out-dir", out], "--out-dir"),
+            (["chaos", "--arrivals", "3", "--out-dir", out], "--out-dir"),
+            (["profile", "--arrivals", "3", "--trace-out", out], "--trace-out"),
+        ):
+            _assert_usage_error(capsys, argv + ["--scale", "small"], flag=flag)
+        assert not (tmp_path / "t").exists()
 
 
 class TestFaultCommands:
@@ -715,6 +721,25 @@ class TestUsageErrors:
         # m only configures parallel_batch; other schemes ignore it.
         _check_args(parser, parser.parse_args(
             ["open", "--m", "99", "--scheme", "object_probability"]))
+
+
+class TestPlacementDoesNotFit:
+    """More redundant copies than the archive holds is a property of the
+    generated data, not of any one flag: the command builds the workload,
+    then reports the placement error as one line and exits 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["open", "--redundancy", "r=5"],
+        ["chaos", "--redundancy", "k=2,n=6"],
+    ])
+    def test_one_error_line(self, capsys, argv):
+        assert main(argv + ["--scale", "small", "--arrivals", "3"]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1, captured.err
+        assert "redundancy member" in errors[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestSampleCount:

@@ -34,8 +34,6 @@ from repro.sim import (
     TapeFailure,
     TapeWearProcess,
     TransientFaults,
-    failures_to_specs,
-    simulate_open_system,
 )
 from repro.sim.faults import _draw
 from repro.workload import generate_workload
@@ -121,9 +119,11 @@ class TestRetryPolicy:
 
 
 class TestSpecValidation:
-    def test_unknown_drive_in_legacy_map(self, workload, spec):
+    def test_unknown_drive_among_drive_failures(self, workload, spec):
         with pytest.raises(ValueError, match="unknown drive"):
-            _session(workload, spec).open(failures={"L9.D9": 10.0})
+            _session(workload, spec).open(
+                faults=(DriveFailure("L0.D0", at_s=5.0), DriveFailure("L9.D9", at_s=10.0))
+            )
 
     def test_unknown_drive_in_fault_spec(self, workload, spec):
         with pytest.raises(ValueError, match="unknown drive"):
@@ -131,10 +131,10 @@ class TestSpecValidation:
                 faults=(DriveFailure("L7.D7", at_s=5.0),)
             )
 
-    def test_serial_fcfs_rejects_legacy_map(self, workload, spec):
+    def test_serial_fcfs_rejects_drive_failures(self, workload, spec):
         with pytest.raises(ValueError, match="concurrent"):
             _session(workload, spec).open(
-                policy="serial-fcfs", failures={"L0.D0": 100.0}
+                policy="serial-fcfs", faults=(DriveFailure("L0.D0", at_s=100.0),)
             )
 
     def test_serial_fcfs_rejects_fault_specs(self, workload, spec):
@@ -197,15 +197,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             _session(workload, spec).open(faults=(make(bad),))
 
-    def test_legacy_map_becomes_one_shot_specs(self):
-        specs = failures_to_specs({"L0.D1": 30.0, "L0.D0": 10.0})
-        assert specs == (
-            DriveFailure("L0.D0", at_s=10.0),
-            DriveFailure("L0.D1", at_s=30.0),
-        )
-
     def test_no_faults_run_reports_full_availability(self, workload, spec):
-        result = simulate_open_system(_session(workload, spec), 30.0, 10, seed=1)
+        result = _session(workload, spec).open().run(30.0, num_arrivals=10, seed=1)
         assert result.faults == {}
         assert result.availability == 1.0
         assert result.degraded_time_s == 0.0
@@ -381,9 +374,7 @@ class TestRescueEdgeCases:
         )
 
     def _healthy_spans(self, seed=4):
-        result = simulate_open_system(
-            self._tight_session(), 120.0, num_arrivals=20, seed=seed
-        )
+        result = self._tight_session().open().run(120.0, num_arrivals=20, seed=seed)
         return result.spans()
 
     def _run_with_failure(self, at_s, repair_after_s=None, seed=4, drive="L0.D0"):
@@ -475,9 +466,7 @@ class TestRescueEdgeCases:
         """A quick repair lands while the failed drive's orphaned job is
         still queued for rescue; both the repaired drive and the survivors
         may serve it, and nothing is served twice."""
-        healthy = simulate_open_system(
-            _session(workload, spec), 120.0, num_arrivals=20, seed=4
-        )
+        healthy = _session(workload, spec).open().run(120.0, num_arrivals=20, seed=4)
         session = _session(workload, spec)
         result = session.open(
             faults=(
@@ -541,9 +530,7 @@ class TestTransientFaults:
         assert all(d.failed for d in session.system.libraries[0].drives)
 
     def test_zero_probability_changes_nothing(self, workload, spec):
-        baseline = simulate_open_system(
-            _session(workload, spec), 60.0, num_arrivals=15, seed=2
-        )
+        baseline = _session(workload, spec).open().run(60.0, num_arrivals=15, seed=2)
         gated = _session(workload, spec).open(
             faults=(TransientFaults(probability=0.0),)
         ).run(60.0, num_arrivals=15, seed=2)
@@ -561,9 +548,7 @@ class TestTransientFaults:
 class TestRobotOutage:
     def test_outage_stalls_exchanges_library_wide(self, workload, spec, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
-        baseline = simulate_open_system(
-            _session(workload, spec), 120.0, num_arrivals=20, seed=4
-        )
+        baseline = _session(workload, spec).open().run(120.0, num_arrivals=20, seed=4)
         result = _session(workload, spec).open(
             faults=(RobotOutage(at_s=300.0, duration_s=1800.0, library=0),)
         ).run(120.0, num_arrivals=20, seed=4)

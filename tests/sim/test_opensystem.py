@@ -26,6 +26,7 @@ from repro.placement import (
     ParallelBatchPlacement,
 )
 from repro.sim import (
+    DriveFailure,
     DriveFaultProcess,
     OpenSystem,
     QueuedRequestRecord,
@@ -36,7 +37,6 @@ from repro.sim import (
     available_scheduling_policies,
     in_flight_profile,
     simulate_fcfs_queue,
-    simulate_open_system,
     sliding_window_stats,
 )
 from repro.workload import generate_workload
@@ -119,9 +119,8 @@ class TestSerialFcfsRegression:
         closed = simulate_fcfs_queue(
             _session(workload, spec), 30.0, num_arrivals=25, seed=7
         )
-        opened = simulate_open_system(
-            _session(workload, spec), 30.0, num_arrivals=25, seed=7,
-            policy="serial-fcfs",
+        opened = _session(workload, spec).open(policy="serial-fcfs").run(
+            30.0, num_arrivals=25, seed=7
         )
         assert opened.policy == "serial-fcfs"
         assert len(opened) == len(closed)
@@ -134,9 +133,8 @@ class TestSerialFcfsRegression:
         assert opened.mean_sojourn_s == pytest.approx(closed.mean_sojourn_s, rel=1e-9)
 
     def test_serial_services_never_overlap(self, workload, spec):
-        result = simulate_open_system(
-            _session(workload, spec), 60.0, num_arrivals=20, seed=3,
-            policy="serial-fcfs",
+        result = _session(workload, spec).open(policy="serial-fcfs").run(
+            60.0, num_arrivals=20, seed=3
         )
         by_start = sorted(result.records, key=lambda r: r.start_s)
         for prev, cur in zip(by_start, by_start[1:]):
@@ -145,7 +143,7 @@ class TestSerialFcfsRegression:
     def test_rejects_failure_injection(self, workload, spec):
         session = _session(workload, spec)
         with pytest.raises(ValueError, match="concurrent"):
-            session.open(policy="serial-fcfs", failures={"L0.D0": 100.0})
+            session.open(policy="serial-fcfs", faults=(DriveFailure("L0.D0", at_s=100.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +153,11 @@ class TestSerialFcfsRegression:
 
 class TestConcurrentPolicy:
     def test_never_loses_to_serial(self, workload, spec):
-        serial = simulate_open_system(
-            _session(workload, spec), 120.0, num_arrivals=40, seed=7,
-            policy="serial-fcfs",
+        serial = _session(workload, spec).open(policy="serial-fcfs").run(
+            120.0, num_arrivals=40, seed=7
         )
-        concurrent = simulate_open_system(
-            _session(workload, spec), 120.0, num_arrivals=40, seed=7,
-            policy="concurrent",
+        concurrent = _session(workload, spec).open(policy="concurrent").run(
+            120.0, num_arrivals=40, seed=7
         )
         assert concurrent.mean_sojourn_s <= serial.mean_sojourn_s * 1.02
         # At this offered load with 2 libraries the win must be strict.
@@ -169,9 +165,7 @@ class TestConcurrentPolicy:
         assert concurrent.peak_in_flight >= 2
 
     def test_all_bytes_served(self, workload, spec):
-        result = simulate_open_system(
-            _session(workload, spec), 60.0, num_arrivals=15, seed=1
-        )
+        result = _session(workload, spec).open().run(60.0, num_arrivals=15, seed=1)
         assert len(result.metrics) == 15
         for record, metrics in zip(result.records, result.metrics):
             assert record.request_id == metrics.request_id
@@ -183,13 +177,11 @@ class TestConcurrentPolicy:
     def test_low_load_matches_serial(self, workload, spec):
         """With arrivals far apart there is no overlap to exploit: both
         policies serve an idle system and agree on every sojourn."""
-        serial = simulate_open_system(
-            _session(workload, spec), 0.5, num_arrivals=10, seed=2,
-            policy="serial-fcfs",
+        serial = _session(workload, spec).open(policy="serial-fcfs").run(
+            0.5, num_arrivals=10, seed=2
         )
-        concurrent = simulate_open_system(
-            _session(workload, spec), 0.5, num_arrivals=10, seed=2,
-            policy="concurrent",
+        concurrent = _session(workload, spec).open(policy="concurrent").run(
+            0.5, num_arrivals=10, seed=2
         )
         assert concurrent.peak_in_flight == 1
         assert concurrent.mean_sojourn_s == pytest.approx(
@@ -197,25 +189,25 @@ class TestConcurrentPolicy:
         )
 
     def test_reproducible(self, workload, spec):
-        a = simulate_open_system(_session(workload, spec), 60.0, 20, seed=9)
-        b = simulate_open_system(_session(workload, spec), 60.0, 20, seed=9)
+        a = _session(workload, spec).open().run(60.0, num_arrivals=20, seed=9)
+        b = _session(workload, spec).open().run(60.0, num_arrivals=20, seed=9)
         assert [r.finish_s for r in a.records] == [r.finish_s for r in b.records]
 
 
 class TestConcurrentFailures:
     def test_drive_failure_is_rescued(self, workload, spec):
         """Failing a drive mid-stream loses no request: survivors rescue."""
-        healthy = simulate_open_system(
-            _session(workload, spec), 120.0, num_arrivals=20, seed=4
+        healthy = _session(workload, spec).open().run(120.0, num_arrivals=20, seed=4)
+        faults = (
+            DriveFailure("L0.D0", at_s=healthy.horizon_s / 4),
+            DriveFailure("L0.D1", at_s=healthy.horizon_s / 2),
         )
-        failures = {"L0.D0": healthy.horizon_s / 4, "L0.D1": healthy.horizon_s / 2}
         session = _session(workload, spec)
-        result = simulate_open_system(
-            session, 120.0, num_arrivals=20, seed=4, failures=failures
-        )
+        result = session.open(faults=faults).run(120.0, num_arrivals=20, seed=4)
         assert len(result) == 20
+        failed = {fault.drive for fault in faults}
         for drive in session.system.libraries[0].drives:
-            if str(drive.id) in failures:
+            if str(drive.id) in failed:
                 assert drive.failed
         # Same bytes served despite the failures.
         assert sum(m.size_mb for m in result.metrics) == pytest.approx(
@@ -225,7 +217,7 @@ class TestConcurrentFailures:
 
     def test_unknown_drive_name_rejected(self, workload, spec):
         with pytest.raises(ValueError, match="unknown drive"):
-            _session(workload, spec).open(failures={"L9.D9": 10.0})
+            _session(workload, spec).open(faults=(DriveFailure("L9.D9", at_s=10.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +247,7 @@ class TestResourceInvariants:
 
     @pytest.fixture(scope="class")
     def starved_result(self, starved):
-        return simulate_open_system(starved, 240.0, num_arrivals=30, seed=11)
+        return starved.open().run(240.0, num_arrivals=30, seed=11)
 
     def test_switches_actually_happen(self, starved_result):
         assert sum(m.num_switches for m in starved_result.metrics) > 0
@@ -330,9 +322,7 @@ class TestOpenSystemLifecycle:
 class TestWindowedMetrics:
     @pytest.fixture(scope="class")
     def result(self, workload, spec):
-        return simulate_open_system(
-            _session(workload, spec), 120.0, num_arrivals=30, seed=7
-        )
+        return _session(workload, spec).open().run(120.0, num_arrivals=30, seed=7)
 
     def test_profile_counts(self, result):
         times, counts = in_flight_profile(result.records)

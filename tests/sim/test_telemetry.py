@@ -10,8 +10,8 @@ The acceptance contract for the observability layer:
   :class:`~repro.sim.metrics.EvaluationResult` aggregates computed by the
   engine itself;
 * spans close exactly once — including tape jobs cut down mid-stage by a
-  drive-failure watchdog, which must land as ``aborted`` spans, not
-  duplicates or leaks;
+  drive failure, which must land as ``aborted`` spans, not duplicates or
+  leaks;
 * ``REPRO_TRACE=0`` turns all of it off without changing the simulation.
 """
 
@@ -23,14 +23,14 @@ from repro.obs import (
     spans_from_chrome_trace,
     validate_chrome_trace,
 )
-from repro.sim import EvaluationResult, simulate_open_system
+from repro.sim import DriveFailure, EvaluationResult
 
 from .test_opensystem import _session, _spec, _workload, spec, workload  # noqa: F401
 
 
-def _run(workload, spec, policy, rate=120.0, n=20, seed=4, **kwargs):
-    return simulate_open_system(
-        _session(workload, spec), rate, num_arrivals=n, seed=seed, policy=policy, **kwargs
+def _run(workload, spec, policy, rate=120.0, n=20, seed=4, sample_period_s=None, **options):
+    return _session(workload, spec).open(policy=policy, **options).run(
+        rate, num_arrivals=n, seed=seed, sample_period_s=sample_period_s
     )
 
 
@@ -108,7 +108,7 @@ class TestSpanTree:
 
 
 # ---------------------------------------------------------------------------
-# S4: watchdog-killed workers — exactly-once closure, occupancy accounting
+# S4: failed drives' workers — exactly-once closure, occupancy accounting
 # ---------------------------------------------------------------------------
 
 
@@ -119,8 +119,11 @@ class TestFailureTelemetry:
             monkeypatch.delenv("REPRO_TRACE", raising=False)  # reads spans
             wl, sp = _workload(), _spec()
             healthy = _run(wl, sp, "concurrent")
-            failures = {"L0.D0": healthy.horizon_s / 4, "L0.D1": healthy.horizon_s / 2}
-            return _run(wl, sp, "concurrent", failures=failures)
+            faults = (
+                DriveFailure("L0.D0", at_s=healthy.horizon_s / 4),
+                DriveFailure("L0.D1", at_s=healthy.horizon_s / 2),
+            )
+            return _run(wl, sp, "concurrent", faults=faults)
 
     def test_spans_close_exactly_once_under_failures(self, failed_run):
         ids = [s.span_id for s in failed_run.trace]
