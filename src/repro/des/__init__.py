@@ -1,41 +1,34 @@
 """A self-contained process-based discrete-event simulation kernel.
 
-The tape-library simulator (:mod:`repro.sim`) is built on this kernel.  The
-API intentionally mirrors SimPy's core surface (``Environment``, ``Timeout``,
-generator processes, ``Resource``), so the simulator reads like standard
-simulation code, but the implementation is entirely local — no third-party
-simulation dependency is required.
+The tape-library simulator (:mod:`repro.sim`) is built on this kernel, and
+the kernel offers only what the simulator runs: timeouts, generator
+processes, ``all_of`` joins, interrupts (drive failures) and a FIFO
+``Resource`` (the robot arm and the disk stage), plus span tracing and
+resource monitoring.  The names mirror SimPy's core surface (``Environment``,
+``Timeout``, generator processes, ``Resource``), so the simulator reads like
+standard simulation code, but no third-party simulation dependency is
+required.
 """
 
 from .core import Environment, Infinity
-from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from .exceptions import EmptySchedule, Interrupt, SimulationError
+from .events import AllOf, ConditionValue, Event, Timeout
+from .exceptions import Interrupt, SimulationError
 from .monitor import ResourceUsageMonitor, Span, SpanContext, Trace, trace_enabled_by_env
 from .process import Process
-from .resources import PriorityResource, ReleaseEvent, RequestEvent, Resource
-from .stores import Container, PriorityItem, PriorityStore, Store
+from .resources import RequestEvent, Resource
 
 __all__ = [
     "Environment",
     "Infinity",
     "Event",
     "Timeout",
-    "Condition",
     "ConditionValue",
     "AllOf",
-    "AnyOf",
     "Process",
     "Resource",
-    "PriorityResource",
     "RequestEvent",
-    "Store",
-    "PriorityStore",
-    "PriorityItem",
-    "Container",
-    "ReleaseEvent",
     "Interrupt",
     "SimulationError",
-    "EmptySchedule",
     "Span",
     "SpanContext",
     "Trace",

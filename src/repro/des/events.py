@@ -27,7 +27,7 @@ from .exceptions import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .core import Environment
 
-__all__ = ["PENDING", "Event", "Timeout", "Condition", "AllOf", "AnyOf"]
+__all__ = ["PENDING", "Event", "Timeout", "AllOf", "ConditionValue"]
 
 
 class _Pending:
@@ -125,24 +125,6 @@ class Event:
         self.env._schedule(self, priority=NORMAL)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state (ok/value) of another event.
-
-        Useful as a callback: ``other.callbacks.append(this.trigger)``.
-        """
-        if self.triggered:
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env._schedule(self, priority=NORMAL)
-
-    # -- composition ----------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
-
     def __repr__(self) -> str:
         state = (
             "processed" if self.processed else "triggered" if self.triggered else "pending"
@@ -153,43 +135,29 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed simulated delay."""
 
-    __slots__ = ("_delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
-        self._delay = delay
         self._ok = True
         self._value = value
         env._schedule(self, priority=NORMAL, delay=delay)
 
-    @property
-    def delay(self) -> float:
-        return self._delay
 
-    def __repr__(self) -> str:
-        return f"<Timeout delay={self._delay} at {id(self):#x}>"
+class AllOf(Event):
+    """Triggers when *all* child events have triggered.
 
-
-class Condition(Event):
-    """An event that triggers when a predicate over child events holds.
-
-    The condition's value is an ordered dict-like mapping of the child events
-    that have triggered so far to their values (see :class:`ConditionValue`).
-    A failing child event fails the whole condition immediately.
+    The value is a :class:`ConditionValue` mapping each child event to its
+    value.  A failing child fails the whole condition immediately; a child
+    that fails after that is defused, so it cannot crash the simulation.
     """
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    __slots__ = ("_events", "_count")
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
         self._count = 0
 
@@ -219,21 +187,10 @@ class Condition(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            # Only *processed* children go into the value: a pending Timeout
-            # already carries its value from creation, but it has not yet
-            # occurred in simulated time.
-            self.succeed(
-                ConditionValue([e for e in self._events if e.processed or e is event])
-            )
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        return count > 0 or not events
+        elif self._count == len(self._events):
+            # Every child is processed by now: each one was counted either
+            # at construction (already processed) or from its own callbacks.
+            self.succeed(ConditionValue(list(self._events)))
 
 
 class ConditionValue:
@@ -270,21 +227,3 @@ class ConditionValue:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ConditionValue {self.todict()!r}>"
-
-
-class AllOf(Condition):
-    """Triggers when *all* child events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Triggers when *any* child event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)

@@ -7,10 +7,6 @@ class SimulationError(Exception):
     """Base class for errors raised by the DES kernel itself."""
 
 
-class EmptySchedule(SimulationError):
-    """Raised by :meth:`Environment.step` when no events remain."""
-
-
 class StopSimulation(Exception):
     """Internal control-flow exception that ends :meth:`Environment.run`.
 

@@ -70,11 +70,6 @@ class Process(Event):
         self._target: Optional[Event] = Initialize(env, self)
 
     @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting for."""
-        return self._target
-
-    @property
     def is_alive(self) -> bool:
         """True while the generator has not exited."""
         return self._value is PENDING
@@ -87,9 +82,6 @@ class Process(Event):
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self._target is None or isinstance(self._target, Initialize):
-            # Interrupting before the first resume: deliver at start.
-            pass
         InterruptEvent(self.env, self, cause)
 
     # -- kernel plumbing --------------------------------------------------
@@ -107,8 +99,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        self.env._active_process = self
-        exc: Optional[BaseException] = None
         try:
             if event._ok:
                 next_target = self._generator.send(event._value)
@@ -127,13 +117,12 @@ class Process(Event):
             # waiter the kernel crashes loudly, which is what we want.
             self.fail(error)
             return
-        finally:
-            self.env._active_process = None
 
         while not isinstance(next_target, Event):
-            exc = SimulationError(f"process yielded a non-event: {next_target!r}")
             try:
-                next_target = self._generator.throw(exc)
+                next_target = self._generator.throw(
+                    SimulationError(f"process yielded a non-event: {next_target!r}")
+                )
             except StopIteration as stop:
                 self._target = None
                 self.succeed(stop.value)

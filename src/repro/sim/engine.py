@@ -161,8 +161,14 @@ class RequestExecution:
         if alive:
             yield self.env.all_of(alive)
 
-    def finalize(self) -> RequestMetrics:
-        """Check all work was served and aggregate the drive records."""
+    def finalize(self, start_s: Optional[float] = None) -> RequestMetrics:
+        """Check all work was served and aggregate the drive records.
+
+        Response time is measured from ``start_s`` (default: admission,
+        :attr:`started_at`).
+        """
+        if start_s is None:
+            start_s = self.started_at
         for lib_id, queue in self.queues.items():
             if queue:
                 raise RuntimeError(
@@ -173,14 +179,14 @@ class RequestExecution:
             size_mb=self.total_mb,
             num_tapes=self.num_tapes,
             records=list(self.records.values()),
-            start_s=self.started_at,
+            start_s=start_s,
         )
         if self._root_id is not None:
             self.trace.record_reserved(
                 self._root_id,
                 "request",
                 self.started_at,
-                self.started_at + metrics.response_s,
+                start_s + metrics.response_s,
                 request=self._trace_request,
                 catalog_id=self.request.id,
                 size_mb=self.total_mb,

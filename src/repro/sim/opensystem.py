@@ -237,17 +237,9 @@ class SerialFCFSPolicy:
                 seek_planner=os.seek_planner,
             )
             yield from execution.wait()
-            metrics = execution.finalize()
-        # Open-system semantics: response is the sojourn (arrival to last
-        # byte), so time queued behind the serial lock is part of T_switch —
-        # finalize() measured from the lock grant, re-base onto the arrival.
-        metrics = RequestMetrics.from_drive_records(
-            request_id=request.id,
-            size_mb=metrics.size_mb,
-            num_tapes=metrics.num_tapes,
-            records=list(execution.records.values()),
-            start_s=arrival_s,
-        )
+            # Open-system semantics: response is the sojourn (arrival to last
+            # byte), so time queued behind the serial lock is part of T_switch.
+            metrics = execution.finalize(start_s=arrival_s)
         record = QueuedRequestRecord(
             request_id=request.id,
             arrival_s=arrival_s,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, EmptySchedule, SimulationError
+from repro.des import Environment, SimulationError
 
 
 def test_initial_time_defaults_to_zero():
@@ -94,22 +94,6 @@ def test_run_until_event_never_triggered_raises():
     ev = env.event()
     with pytest.raises(SimulationError):
         env.run(until=ev)
-
-
-def test_step_on_empty_schedule_raises():
-    env = Environment()
-    with pytest.raises(EmptySchedule):
-        env.step()
-
-
-def test_peek_returns_next_event_time():
-    env = Environment()
-    env.timeout(7)
-    assert env.peek() == 7
-
-
-def test_peek_on_empty_returns_infinity():
-    assert Environment().peek() == float("inf")
 
 
 def test_len_counts_scheduled_events():

@@ -112,19 +112,6 @@ def test_non_generator_rejected(env):
         env.process(lambda: None)
 
 
-def test_active_process_visible_during_execution(env):
-    seen = []
-
-    def proc():
-        seen.append(env.active_process)
-        yield env.timeout(1)
-
-    p = env.process(proc())
-    env.run()
-    assert seen == [p]
-    assert env.active_process is None
-
-
 class TestInterrupt:
     def test_interrupt_delivers_cause(self, env):
         caught = []

@@ -1,8 +1,8 @@
-"""Tests for Resource / PriorityResource queueing semantics."""
+"""Tests for Resource queueing semantics."""
 
 import pytest
 
-from repro.des import Environment, PriorityResource, Resource
+from repro.des import Environment, Interrupt, Resource, ResourceUsageMonitor
 
 
 @pytest.fixture
@@ -79,22 +79,6 @@ class TestResource:
         env.process(observer())
         env.run()
 
-    def test_explicit_release(self, env):
-        res = Resource(env, 1)
-        log = []
-
-        def user(name):
-            req = res.request()
-            yield req
-            log.append((name, env.now))
-            yield env.timeout(2)
-            res.release(req)
-
-        env.process(user("a"))
-        env.process(user("b"))
-        env.run()
-        assert log == [("a", 0), ("b", 2)]
-
     def test_cancelled_queued_request_is_skipped(self, env):
         res = Resource(env, 1)
         log = []
@@ -120,98 +104,52 @@ class TestResource:
         env.run()
         assert log == [5]
 
-    def test_requested_at_recorded(self, env):
+    def test_interrupt_while_queued_withdraws_the_request(self, env):
+        # A drive worker waiting on the robot can fail: the interrupt lands
+        # at ``yield req`` and the ``with`` block withdraws the queued request.
         res = Resource(env, 1)
-        waits = []
+        monitor = ResourceUsageMonitor("robot").attach(res)
+        log = []
+        victim_requests = []
 
-        def user(delay):
-            yield env.timeout(delay)
+        def holder():
             with res.request() as req:
-                yield req
-                waits.append(env.now - req.requested_at)
-                yield env.timeout(10)
-
-        env.process(user(0))
-        env.process(user(1))
-        env.run()
-        assert waits == [0, 9]
-
-
-class TestPriorityResource:
-    def test_lower_priority_value_served_first(self, env):
-        res = PriorityResource(env, 1)
-        log = []
-
-        def user(name, priority):
-            with res.request(priority=priority) as req:
-                yield req
-                log.append(name)
-                yield env.timeout(1)
-
-        def holder():
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(1)  # others queue while we hold
-
-        env.process(holder())
-
-        def spawn():
-            yield env.timeout(0)
-            env.process(user("low", 5))
-            env.process(user("high", 1))
-            env.process(user("mid", 3))
-
-        env.process(spawn())
-        env.run()
-        assert log == ["high", "mid", "low"]
-
-    def test_equal_priority_is_fifo(self, env):
-        res = PriorityResource(env, 1)
-        log = []
-
-        def user(name):
-            with res.request(priority=1) as req:
-                yield req
-                log.append(name)
-                yield env.timeout(1)
-
-        def holder():
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(1)
-
-        env.process(holder())
-
-        def spawn():
-            yield env.timeout(0)
-            for name in "abc":
-                env.process(user(name))
-
-        env.process(spawn())
-        env.run()
-        assert log == ["a", "b", "c"]
-
-    def test_cancel_queued_priority_request(self, env):
-        res = PriorityResource(env, 1)
-        log = []
-
-        def holder():
-            with res.request(priority=0) as req:
                 yield req
                 yield env.timeout(5)
 
-        def quitter():
-            req = res.request(priority=1)
-            yield env.timeout(1)
-            req.cancel()
+        def victim():
+            with res.request() as req:
+                victim_requests.append(req)
+                try:
+                    yield req
+                except Interrupt:
+                    log.append(("interrupted", env.now))
+                    return
+                log.append(("victim granted", env.now))
 
         def patient():
-            with res.request(priority=2) as req:
+            yield env.timeout(1)
+            with res.request() as req:
                 yield req
-                log.append(env.now)
+                log.append(("patient granted", env.now))
 
         env.process(holder())
-        env.process(quitter())
+        victim_proc = env.process(victim())
         env.process(patient())
+
+        def attacker():
+            yield env.timeout(2)
+            assert victim_requests[0] in res.queue and len(res.queue) == 2
+            victim_proc.interrupt("drive failed")
+            yield env.timeout(1)
+            assert victim_requests[0] not in res.queue
+            assert len(res.queue) == 1 and monitor.queue_depth == 1
+
+        env.process(attacker())
         env.run()
-        assert log == [5]
+        assert log == [("interrupted", 2), ("patient granted", 5)]
+        assert res.count == 0 and res.queue == []
+        # Enqueues and dequeues balance; the victim waited 0-2, the patient 1-5.
+        assert monitor.queue_depth == 0 and monitor.max_queue_depth == 2
+        assert monitor.queue_wait_s == pytest.approx(6.0)
+        assert monitor.grants == 2 and monitor.in_use == 0
