@@ -5,9 +5,12 @@ file pins a matrix of small ``concurrent`` runs that between them reach
 every admission branch of ``opensystem._LibraryDispatcher``: deep per-tape
 queues, drive churn with transient retries, r=2 media loss under each
 repair-priority policy, degraded pinned mode (every switch drive dead),
-``read_selection="cheapest"`` and a non-default replacement policy.
+``read_selection="cheapest"``, a non-default replacement policy, and two
+disk-free, fault-free runs whose drive workers may serve a tape job as one
+kernel event.
 
-Each run pins its sojourns, span tuples, ``RequestMetrics``, the full
+Each run pins its sojourns, span tuples (with ids, and as an id-free set of
+name, times, request and attributes), ``RequestMetrics``, the full
 registry export (the ``dispatch.L*.pending`` gauge integrals included),
 the ``repair`` and ``faults`` dicts and ``events_processed``.  Sequences
 are pinned as SHA-256 digests with every float rounded to 10 significant
@@ -73,11 +76,11 @@ def _busiest_tape(session):
     return max(session.system.all_tapes(), key=lambda t: (t.used_mb, t.id))
 
 
-def _starved(replacement_policy="least_popular"):
+def _starved(replacement_policy="least_popular", disk_bandwidth_mb_s=20.0):
     """Two drives per library, 40 small tapes: every request switches."""
     return SimulationSession(
-        _workload(), _spec(), scheme=ObjectProbabilityPlacement(),
-        replacement_policy=replacement_policy,
+        _workload(), _spec(disk_bandwidth_mb_s=disk_bandwidth_mb_s),
+        scheme=ObjectProbabilityPlacement(), replacement_policy=replacement_policy,
     )
 
 
@@ -92,10 +95,11 @@ def _redundant(seed=21):
     )
 
 
-def _pinned():
+def _pinned(replacement_policy="least_popular", disk_bandwidth_mb_s=20.0):
     """Parallel batch with two pinned and two switch drives per library."""
     return SimulationSession(
-        _workload(), _spec(num_drives=4), scheme=ParallelBatchPlacement(m=2)
+        _workload(), _spec(num_drives=4, disk_bandwidth_mb_s=disk_bandwidth_mb_s),
+        scheme=ParallelBatchPlacement(m=2), replacement_policy=replacement_policy,
     )
 
 
@@ -148,6 +152,14 @@ def build(label):
         return _starved("oldest_mount"), {}, dict(
             arrival_rate_per_hour=600.0, num_arrivals=60, seed=13
         )
+    if label == "starved-diskless":
+        return _starved(disk_bandwidth_mb_s=None), {}, dict(
+            arrival_rate_per_hour=900.0, num_arrivals=120, seed=17
+        )
+    if label == "pinned-diskless-oldest-mount":
+        return _pinned("oldest_mount", disk_bandwidth_mb_s=None), {}, dict(
+            arrival_rate_per_hour=600.0, num_arrivals=80, seed=19
+        )
     raise KeyError(label)
 
 
@@ -160,6 +172,8 @@ LABELS = (
     "pinned-degraded",
     "r2-cheapest",
     "starved-oldest-mount",
+    "starved-diskless",
+    "pinned-diskless-oldest-mount",
 )
 
 
@@ -208,6 +222,13 @@ def pin(opensys, result) -> dict:
             (s.name, s.start, s.end, s.span_id, s.parent_id, s.request_id)
             for s in spans
         )
+        # The same spans without their ids, as a set: a change that only
+        # allots ids in another order or records spans in another order
+        # keeps this digest.
+        got["span_id_free_digest"] = _digest(sorted(
+            ((s.name, s.start, s.end, s.request_id, sorted(s.attrs.items())) for s in spans),
+            key=repr,
+        ))
     return got
 
 
@@ -247,7 +268,16 @@ def test_dispatch_pinned(label, update_golden):
         # Tracing disabled by REPRO_TRACE: every non-span pin still holds.
         expected.pop("span_count", None)
         expected.pop("span_digest", None)
+        expected.pop("span_id_free_digest", None)
     _approx_equal(got, expected, label)
+
+
+@pytest.mark.parametrize("label", ["starved-diskless", "pinned-diskless-oldest-mount"])
+def test_diskless_labels_arm_no_disk_stage_and_no_faults(label):
+    """These two pins are the ones whose drive workers may stride."""
+    session, open_kwargs, _ = build(label)
+    opensys = session.open(policy="concurrent", **open_kwargs)
+    assert opensys.disk is None and not opensys.fault_specs
 
 
 def test_matrix_reaches_every_admission_branch():
