@@ -27,9 +27,12 @@ the same spans, with computed times.  Two drives that finish at one instant
 act in the order their job or exchange started.  Per-step service (one
 event per seek, transfer and switch stage) remains where something does
 observe or cut those boundaries: a disk stage that admits each transfer
-(``disk_bandwidth_mb_s``), and the concurrent open-system worker, whose
-dispatcher reads busy drives' mount and head state and whose drives fault
-specs can interrupt mid-stage.
+(``disk_bandwidth_mb_s``), and fault specs, which can interrupt a
+concurrent open-system worker mid-stage.  That worker's dispatcher reads
+busy drives' mount state, never their head position, so its switches stay
+per-step (a strided switch swaps the cartridges when the robot-held stage
+starts) while its serves stride unless a disk stage or a fault spec is
+present.
 
 The machinery is factored as :class:`RequestExecution` so the same
 planning / drive-process logic can run either on a throwaway

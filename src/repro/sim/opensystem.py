@@ -46,7 +46,7 @@ from .engine import RequestExecution, _serve_job, _switch_to
 from .faults import FaultEscalation, FaultInjector, FaultSpec
 from .metrics import DriveServiceRecord, RequestMetrics, WindowStat, sliding_window_stats
 from .queueing import QueuedRequestRecord, QueueingResult
-from .scheduling import TapeJob, estimate_job_time
+from .scheduling import TapeJob, estimate_job_time, lpt_key
 from .seekplanner import SeekPlanner, resolve_seek_planner
 
 __all__ = [
@@ -406,16 +406,22 @@ class ConcurrentPolicy:
             by_library.setdefault(tape_id.library, []).append(
                 TapeJob(tape_id, sorted(extents, key=lambda e: e.start_mb))
             )
+        planner = os.seek_planner
         for library_id in sorted(by_library):
             library = os.system.libraries[library_id]
             tape_jobs = by_library[library_id]
-            # Longest-processing-time first, as in the closed-loop planner.
-            tape_jobs.sort(
-                key=lambda job: (
-                    -estimate_job_time(job, library, planner=os.seek_planner),
-                    job.tape_id,
-                )
-            )
+            # Longest-processing-time first, as in the closed-loop planner,
+            # each job priced against its holder's spec (or the default).
+            holding = library.drive_holding
+            default_spec = library.spec.tape
+            transfer_time = library.spec.drive.transfer_time
+
+            def key(job: TapeJob) -> tuple:
+                holder = holding(job.tape_id)
+                spec = holder.tape_spec if holder is not None else default_spec
+                return lpt_key(job, spec, transfer_time, planner)
+
+            tape_jobs.sort(key=key)
             for job in tape_jobs:
                 djob = _DispatchedJob(
                     job=job, request_id=trace_key, records=records, done=env.event(),
@@ -698,6 +704,11 @@ class _LibraryDispatcher:
         self.displacement_key = opensys.displacement_key
         self.tape_priority = opensys.tape_priority
         self.seek_planner = opensys.seek_planner
+        #: Serve each tape job as one kernel event when nothing can cut or
+        #: gate its steps: no fault spec can interrupt a drive and no disk
+        #: stage admits transfers.  Switches stay per-step, because
+        #: ``_dispatch`` reads busy drives' mount state mid-switch.
+        self.stride = opensys.disk is None and not opensys.fault_specs
         self.pending_gauge = opensys.registry.gauge(
             f"dispatch.L{library.id}.pending", unit="jobs"
         )
@@ -1248,7 +1259,7 @@ class _LibraryDispatcher:
                 yield from _serve_job(
                     env, drive, job, record, trace, self.disk,
                     parent=djob.span_id, request=djob.request_id,
-                    planner=self.seek_planner,
+                    planner=self.seek_planner, stride=self.stride,
                 )
                 record.completion_s = env.now
                 self.committed.pop(job.tape_id.slot, None)

@@ -18,9 +18,9 @@ without running the event loop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
-from ..hardware import ObjectExtent, TapeLibrary, TapeId
+from ..hardware import ObjectExtent, TapeLibrary, TapeId, TapeSpec
 from .replacement import replacement_key
 from .seekplanner import SeekPlanner, resolve_seek_planner
 
@@ -28,6 +28,7 @@ __all__ = [
     "TapeJob",
     "LibraryPlan",
     "estimate_job_time",
+    "lpt_key",
     "build_library_plan",
 ]
 
@@ -118,6 +119,24 @@ def estimate_job_time(
     return seek + library.spec.drive.transfer_time(job.bytes_mb)
 
 
+def lpt_key(
+    job: TapeJob,
+    tape_spec: TapeSpec,
+    transfer_time: Callable[[float], float],
+    planner: SeekPlanner,
+) -> tuple:
+    """Longest-processing-time-first sort key of ``job``: its estimated
+    service time from beginning of tape, negated, then its tape id.
+
+    The seek part is planned against ``tape_spec`` (the holder's spec, or
+    the library's default for an offline tape) and the plan is kept in
+    ``job.planned`` for the engine to reuse.
+    """
+    order, seek = planner.plan(job.extents, 0.0, tape_spec)
+    job.planned = (tape_spec, order)
+    return (-(seek + transfer_time(job.bytes_mb)), job.tape_id)
+
+
 def build_library_plan(
     library: TapeLibrary,
     jobs_by_tape: Mapping[TapeId, Sequence[ObjectExtent]],
@@ -143,18 +162,11 @@ def build_library_plan(
 
     offline = [job for tid, job in local_jobs.items() if tid not in mounted]
     if offline:
-        # ``estimate_job_time`` at head 0, minus its holder scan: an offline
-        # tape has no holder, so the library's default spec prices it.
+        # An offline tape has no holder: the library's default spec prices it.
         tape_spec = library.spec.tape
         transfer_time = library.spec.drive.transfer_time
         planner = resolve_seek_planner(planner)
-
-        def lpt_key(job: TapeJob) -> tuple:
-            order, seek = planner.plan(job.extents, 0.0, tape_spec)
-            job.planned = (tape_spec, order)
-            return (-(seek + transfer_time(job.bytes_mb)), job.tape_id)
-
-        offline.sort(key=lpt_key)
+        offline.sort(key=lambda job: lpt_key(job, tape_spec, transfer_time, planner))
     plan.offline = offline
 
     if offline:

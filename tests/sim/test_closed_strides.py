@@ -18,7 +18,7 @@ may not change:
   placed state after ``serve``, ``fail_drives`` and ``open``.
 """
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import astuple
 from unittest import mock
 
@@ -39,7 +39,7 @@ from repro.hardware import (
     TapeSystem,
 )
 from repro.placement import PlacementResult, make_scheme
-from repro.sim import SimulationSession, engine, simulate_request
+from repro.sim import SimulationSession, engine, opensystem, simulate_request
 from repro.sim.replacement import available_policies
 from repro.sim.seekplanner import available_seek_planners
 from repro.workload import Workload, generate_workload
@@ -91,7 +91,11 @@ def _metrics(result):
 
 @contextmanager
 def _per_step():
-    """Serve every job and switch one event per stage, as before strides."""
+    """Serve every job and switch one event per stage, as before strides.
+
+    Patches the engine's functions and the copies ``opensystem`` imported,
+    so the concurrent dispatcher's workers go per-step too.
+    """
     serve, switch = engine._serve_job, engine._switch_to
 
     def serve_per_step(*args, stride=False, **kwargs):
@@ -100,9 +104,10 @@ def _per_step():
     def switch_per_step(*args, stride=False, **kwargs):
         return switch(*args, **kwargs)
 
-    with mock.patch.object(engine, "_serve_job", serve_per_step), mock.patch.object(
-        engine, "_switch_to", switch_per_step
-    ):
+    with ExitStack() as stack:
+        for module in (engine, opensystem):
+            stack.enter_context(mock.patch.object(module, "_serve_job", serve_per_step))
+            stack.enter_context(mock.patch.object(module, "_switch_to", switch_per_step))
         yield
 
 
