@@ -373,26 +373,30 @@ def _serve_job(
     if stride:
         span_append = trace._spans.append if tracing else None
         t = env._now
+        # One float per boundary, shared by the span that ends there and
+        # the next that starts there, as the per-step clock shares them.
         for extent in ordered:
             seek, transfer = drive.read_extent(extent)
             if seek > 0:
+                end = t + seek
                 if tracing:
                     sid = trace._next_id
                     trace._next_id = sid + 1
                     span_append((
-                        "seek", t, t + seek, ("drive", drive_name, "object", extent.object_id),
+                        "seek", t, end, ("drive", drive_name, "object", extent.object_id),
                         sid, parent, request,
                     ))
-                t += seek
+                t = end
             record.seek_s += seek
+            end = t + transfer
             if tracing:
                 sid = trace._next_id
                 trace._next_id = sid + 1
                 span_append((
-                    "transfer", t, t + transfer,
+                    "transfer", t, end,
                     ("drive", drive_name, "object", extent.object_id), sid, parent, request,
                 ))
-            t += transfer
+            t = end
             record.transfer_s += transfer
             record.bytes_mb += extent.size_mb
         job.completed = len(ordered)
@@ -494,11 +498,12 @@ def _stride_end(env, trace: Trace, stages: tuple, parent, request) -> float:
     """
     t = env._now
     for name, delay, attrs in stages:
+        end = t + delay
         if trace.enabled:
             sid = trace._next_id
             trace._next_id = sid + 1
-            trace._spans.append((name, t, t + delay, attrs, sid, parent, request))
-        t += delay
+            trace._spans.append((name, t, end, attrs, sid, parent, request))
+        t = end
     return t
 
 

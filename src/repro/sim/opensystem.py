@@ -412,12 +412,12 @@ class ConcurrentPolicy:
             tape_jobs = by_library[library_id]
             # Longest-processing-time first, as in the closed-loop planner,
             # each job priced against its holder's spec (or the default).
-            holding = library.drive_holding
+            holders = library.mounted_tapes()
             default_spec = library.spec.tape
             transfer_time = library.spec.drive.transfer_time
 
             def key(job: TapeJob) -> tuple:
-                holder = holding(job.tape_id)
+                holder = holders.get(job.tape_id)
                 spec = holder.tape_spec if holder is not None else default_spec
                 return lpt_key(job, spec, transfer_time, planner)
 

@@ -46,10 +46,10 @@ class TapeJob:
     tape_id: TapeId
     extents: List[ObjectExtent]
     completed: int = 0
-    #: ``(tape_spec, order)`` planned from beginning of tape by the offline
-    #: LPT estimate; the engine serves ``order`` as is when the job starts
-    #: at beginning of tape on a drive with that spec, instead of planning
-    #: the same extents again.
+    #: ``(tape_spec, order)`` planned from beginning of tape by the LPT
+    #: sort (:func:`lpt_key`); the engine serves ``order`` as is when the
+    #: job starts at beginning of tape on a drive with that spec, instead
+    #: of planning the same extents again.
     planned: Optional[tuple] = None
 
     @property
@@ -105,13 +105,15 @@ def estimate_job_time(
     head_mb: float = 0.0,
     planner: Optional[SeekPlanner] = None,
 ) -> float:
-    """Service-time estimate used only for LPT ordering (seek + transfer).
+    """Service-time estimate (seek + transfer) of a whole job from ``head_mb``.
 
-    The seek part is priced by the same planner the engine will execute
-    with, against the ``TapeSpec`` of the drive actually holding the job's
-    tape when it is mounted (drives in a heterogeneous library may position
-    at different rates); offline tapes fall back to the library's default
-    spec since their drive assignment is not yet known.
+    The open-system dispatcher prices repair jobs and degraded-read members
+    with it; LPT ordering uses :func:`lpt_key`.  The seek part is priced by
+    the same planner the engine will execute with, against the ``TapeSpec``
+    of the drive actually holding the job's tape when it is mounted (drives
+    in a heterogeneous library may position at different rates); offline
+    tapes fall back to the library's default spec since their drive
+    assignment is not yet known.
     """
     drive = library.drive_holding(job.tape_id)
     tape_spec = drive.tape_spec if drive is not None else library.spec.tape

@@ -36,15 +36,15 @@ from repro.sim.replacement import available_policies
 from repro.sim.seekplanner import available_seek_planners
 from repro.workload import Workload, generate_workload
 
-from .test_closed_strides import _hardware, _per_step, _place, _spec, _workload
+from .test_closed_strides import _hardware, _per_step, _spec, _workload
 
 
-def _placement(scheme, workload, spec, redundant):
-    if not redundant:
-        return _place(scheme, workload, spec)
+def _placement(scheme, workload, spec, redundant=False):
+    # parallel_batch needs 1 <= m <= drives - 1 switch drives per library.
     drives = spec.library.num_drives
     kwargs = {"m": max(1, drives // 2)} if scheme == "parallel_batch" else {}
-    return wrap_scheme(make_scheme(scheme, **kwargs), "r=2").place(workload, spec)
+    made = make_scheme(scheme, **kwargs)
+    return (wrap_scheme(made, "r=2") if redundant else made).place(workload, spec)
 
 
 def _spans(result):
@@ -110,7 +110,7 @@ class TestTracingOnOff:
     def test_concurrent(self, scheme, sizes):
         workload = _workload(seed=13, sizes=sizes)
         spec = _spec()
-        placement = _place(scheme, workload, spec)
+        placement = _placement(scheme, workload, spec)
 
         def run(trace_env):
             with mock.patch.dict(os.environ, {"REPRO_TRACE": trace_env}):
