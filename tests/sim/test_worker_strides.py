@@ -124,42 +124,63 @@ class TestTracingOnOff:
         assert traced[:2] == untraced[:2]
 
 
-def _tie_session():
-    """Two switchable drives that both finish their in-place job at t=20.
+def _library_session(layouts, mounts, tape_priority=None):
+    """One library with two drives and three tapes laid out by hand.
 
-    D0 holds L0.T0 with two back-to-back 100 MB extents (its last per-step
-    event is scheduled at t=10), D1 holds L0.T1 with one 200 MB extent
-    (scheduled at t=0).  The request's third tape, L0.T2, waits in the
-    dispatcher for whichever drive acts first.
+    ``layouts`` maps a slot to ``(object id, start MB, size MB)`` triples,
+    ``mounts`` a drive index to the slot it holds at the start.
     """
     spec = _spec(num_drives=2, num_libraries=1, num_tapes=3)
+    extents = {
+        TapeId(0, slot): [ObjectExtent(*triple) for triple in triples]
+        for slot, triples in layouts.items()
+    }
+    sizes = {e.object_id: e.size_mb for tape in extents.values() for e in tape}
     base = generate_workload(
-        num_objects=4, num_requests=2, request_size_bounds=(1, 4), seed=1
+        num_objects=len(sizes), num_requests=2, request_size_bounds=(1, len(sizes)), seed=1
     )
-    workload = Workload(
-        ObjectCatalog(np.array([100.0, 100.0, 200.0, 100.0])), base.requests, base.params
-    )
+    catalog = ObjectCatalog(np.array([sizes[i] for i in range(len(sizes))]))
     placement = PlacementResult(
-        scheme="tie",
-        layouts={
-            TapeId(0, 0): [ObjectExtent(0, 0.0, 100.0), ObjectExtent(1, 100.0, 100.0)],
-            TapeId(0, 1): [ObjectExtent(2, 0.0, 200.0)],
-            TapeId(0, 2): [ObjectExtent(3, 0.0, 100.0)],
-        },
-        initial_mounts={DriveId(0, 0): TapeId(0, 0), DriveId(0, 1): TapeId(0, 1)},
+        scheme="constructed",
+        layouts=extents,
+        initial_mounts={DriveId(0, d): TapeId(0, slot) for d, slot in mounts.items()},
+        tape_priority={TapeId(0, slot): p for slot, p in (tape_priority or {}).items()},
     )
-    return SimulationSession(workload, spec, placement=placement)
+    return SimulationSession(
+        Workload(catalog, base.requests, base.params), spec, placement=placement
+    )
+
+
+def _serve(session, arrivals):
+    """Serve ``(arrival time, request)`` pairs; the drives' final mounts."""
+    opensys = session.open(policy="concurrent")
+    env = opensys.env
+
+    def arrive(at, request):
+        yield env.timeout(at)
+        yield from opensys.policy.serve(request, at)
+
+    for at, request in arrivals:
+        env.process(arrive(at, request))
+    env.run()
+    return [str(d.mounted.id) for d in session.system.library(0).drives]
 
 
 class TestTieRule:
-    REQUEST = Request(0, (0, 1, 2, 3), 1.0)
-
     def _serve(self):
-        session = _tie_session()
-        opensys = session.open(policy="concurrent")
-        opensys.env.process(opensys.policy.serve(self.REQUEST, 0.0))
-        opensys.env.run()
-        return [str(d.mounted.id) for d in session.system.library(0).drives]
+        """Two switchable drives that both finish their in-place job at t=20.
+
+        D0 holds L0.T0 with two back-to-back 100 MB extents (its last
+        per-step event is scheduled at t=10), D1 holds L0.T1 with one
+        200 MB extent (scheduled at t=0).  The request's third tape, L0.T2,
+        waits in the dispatcher for whichever drive acts first.
+        """
+        session = _library_session(
+            {0: [(0, 0.0, 100.0), (1, 100.0, 100.0)], 1: [(2, 0.0, 200.0)],
+             2: [(3, 0.0, 100.0)]},
+            {0: 0, 1: 1},
+        )
+        return _serve(session, [(0.0, Request(0, (0, 1, 2, 3), 1.0))])
 
     def test_drive_whose_job_started_first_acts_first(self):
         # L0.T0 sorts first (equal estimates, lower tape id), so D0 started
@@ -171,3 +192,23 @@ class TestTieRule:
         was scheduled first (t=0 against D0's t=10), so D1 pulls the tape."""
         with _per_step():
             assert self._serve() == ["L0.T0", "L0.T2"]
+
+
+def test_a_tape_being_unloaded_stays_with_its_drive():
+    """Why the worker's switches stay per-step.
+
+    At t=0 D0 starts switching L0.T0 out for L0.T1 (robot held, unload
+    until t=5) while D1 reads 20 MB of L0.T2 until t=2.  At t=1 a request
+    for L0.T0 arrives.  The cartridge is still in D0, so the job waits for
+    D0 and D1 stays idle when it finishes; once D0 is done with L0.T1 it
+    displaces that less popular tape and mounts L0.T0 again.  A switch
+    that swapped the cartridges when the robot-held stage starts would
+    have shown L0.T0 back in its cell at t=2 and sent D1 after it.
+    """
+    session = _library_session(
+        {0: [(0, 0.0, 10.0)], 1: [(1, 0.0, 10.0)], 2: [(2, 0.0, 20.0)]},
+        {0: 0, 1: 2},
+        tape_priority={0: 0.5, 1: 0.1, 2: 0.9},
+    )
+    mounts = _serve(session, [(0.0, Request(0, (1, 2), 1.0)), (1.0, Request(1, (0,), 1.0))])
+    assert mounts == ["L0.T0", "L0.T2"]
