@@ -1,8 +1,8 @@
 """DES kernel throughput: wall time per arrival, tracing on/off, and the perf gate.
 
 Times one identical open-system arrival stream under each scheduling
-policy, with tracing enabled and disabled, and writes ``BENCH_kernel.json``
-at the repo root.  At paper scale the wall seconds per arrival gate against
+policy, with tracing enabled and disabled, and records it under
+``throughput`` in ``BENCH_kernel.json`` at the repo root.  At paper scale the wall seconds per arrival gate against
 the *seed* kernel's (frozen below): serial-fcfs must hold a >= 1.5x speedup
 and concurrent >= 1.3x, and the enabled-tracing overhead on the concurrent
 stream is checked against its 5% target.  The gate compares time per
@@ -38,6 +38,20 @@ from timeit import timeit
 from repro.des import Environment, Trace
 
 BENCH_KERNEL_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
+
+
+def _merge_record(key, payload):
+    """Store ``payload`` under ``key`` in ``BENCH_kernel.json``.
+
+    Read-modify-write: each gate owns one top-level key and keeps the
+    others' records.
+    """
+    data = {}
+    if BENCH_KERNEL_PATH.exists():
+        data = json.loads(BENCH_KERNEL_PATH.read_text())
+    data[key] = payload
+    BENCH_KERNEL_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(f"\n{json.dumps(payload, indent=2)}\nmerged into {BENCH_KERNEL_PATH}[{key!r}]")
 
 #: Paper-scale events/sec of the seed kernel (``BENCH_opensystem.json``'s
 #: ``open_system`` section as committed before the kernel fast path).
@@ -202,8 +216,7 @@ def test_kernel_throughput_gate(settings, timed_open_run, quick, monkeypatch):
             ),
         }
 
-    BENCH_KERNEL_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\n{json.dumps(payload, indent=2)}\nwritten to {BENCH_KERNEL_PATH}")
+    _merge_record("throughput", payload)
 
     if settings.scale != "paper":
         # Quick/small-scale smoke: soft floor only — warn, never flake.
@@ -291,8 +304,7 @@ def test_seek_planner_gate(settings, timed_open_run, quick):
     resolution step; (2) per-plan micro prices — greedy under the
     hot-path ceiling, exact under its own (an O(n^2) sanity bound); (3) one
     end-to-end run per planner on the identical arrival stream,
-    recorded to ``BENCH_kernel.json`` (read-modify-write: the throughput
-    gate above overwrites the file, so this test must merge, not write).
+    recorded under ``seek_planners`` in ``BENCH_kernel.json``.
     """
     from repro.sim import available_seek_planners, resolve_seek_planner
 
@@ -337,12 +349,7 @@ def test_seek_planner_gate(settings, timed_open_run, quick):
         },
         "open_runs": runs,
     }
-    data = {}
-    if BENCH_KERNEL_PATH.exists():
-        data = json.loads(BENCH_KERNEL_PATH.read_text())
-    data["seek_planners"] = payload
-    BENCH_KERNEL_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"\n{json.dumps(payload, indent=2)}\nmerged into {BENCH_KERNEL_PATH}")
+    _merge_record("seek_planners", payload)
 
     for n in sizes:
         greedy_us = prices[n]["greedy-sweep"] * 1e6
@@ -416,11 +423,6 @@ def test_kernel_scale_gate(settings, quick):
             ),
         },
     }
-    data = {}
-    if BENCH_KERNEL_PATH.exists():
-        data = json.loads(BENCH_KERNEL_PATH.read_text())
-    data["scale"] = payload
-    BENCH_KERNEL_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"\n{json.dumps(payload, indent=2)}\nmerged into {BENCH_KERNEL_PATH}")
+    _merge_record("scale", payload)
 
     assert len(result) == arrivals

@@ -21,11 +21,23 @@ elsewhere.
 Tracing can be globally disabled with ``REPRO_TRACE=0`` in the environment;
 a disabled trace's :meth:`~Trace.record` is a bound no-op that allocates no
 span, and :meth:`~Trace.span` returns a shared null context manager.
+
+Pickling: a :class:`Trace` pickles its span list as one nested pickle (the
+``_blob`` of its state) and decodes it only when something first reads
+``_spans`` -- a query, ``len()``, a new span or the engine's append fast
+lane.  A result replayed from the sweep cache, or shipped back from a pool
+worker, thus pays nothing for spans nobody reads, and re-pickling a trace
+that was never read passes the blob through undecoded.  Because two equal
+traces may hold their spans in different forms (decoded list vs blob),
+:class:`Trace` compares by content.  Unpickling never re-reads
+``REPRO_TRACE``: a trace keeps the enabled flag it was recorded with.
+:class:`Span` pickles as its constructor arguments.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from sys import intern as _intern
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -119,6 +131,13 @@ class Span:
     # over the dict field), spans are not hashable.
     __hash__ = None  # type: ignore[assignment]
 
+    def __reduce__(self):
+        return (
+            Span,
+            (self.name, self.start, self.end, self.attrs,
+             self.span_id, self.parent_id, self.request_id),
+        )
+
     def __repr__(self) -> str:
         return (
             f"Span(name={self.name!r}, start={self.start!r}, end={self.end!r}, "
@@ -204,6 +223,26 @@ def _span_disabled(env, name: str, parent=None, request=None, **attrs: Any) -> _
     return _NULL_SPAN_CONTEXT
 
 
+class _SpansOnFirstRead:
+    """``Trace._spans`` of a loaded trace: decodes ``_blob`` on first read.
+
+    A non-data descriptor, so the ``_spans`` in a live trace's ``__dict__``
+    shadows it and reads never get here.  (A ``__getattr__`` would do the
+    same job, but it turns off the interpreter's attribute-read fast path
+    for every attribute of every trace.)
+    """
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return self
+        state = trace.__dict__
+        if "_blob" not in state:
+            raise AttributeError(f"{type(trace).__name__!r} object has no attribute '_spans'")
+        spans = state["_spans"] = pickle.loads(state["_blob"])
+        del state["_blob"]
+        return spans
+
+
 class Trace:
     """An append-only collection of spans with causal-tree query helpers.
 
@@ -213,6 +252,8 @@ class Trace:
     simulation driver happens after ``env.run()`` returns, so span
     construction never competes with event processing for wall time.
     """
+
+    _spans = _SpansOnFirstRead()
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = bool(enabled) and trace_enabled_by_env()
@@ -320,6 +361,31 @@ class Trace:
         self._spans.clear()
         self._next_id = 1
         self._clean_upto = 0
+
+    # -- pickling -------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, Any]:
+        """State with the span list as one nested pickle, ``_blob``.
+
+        A trace loaded but never read still holds its ``_blob``, which
+        passes through as it is.  Loading is the default ``__dict__``
+        update, so an older state holding ``_spans`` itself still loads.
+        """
+        state = self.__dict__.copy()
+        spans = state.pop("_spans", None)
+        if spans is not None:
+            state["_blob"] = pickle.dumps(spans, pickle.HIGHEST_PROTOCOL)
+        return state
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Trace):
+            return (
+                self.enabled == other.enabled
+                and self._next_id == other._next_id
+                and self._all() == other._all()
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
     # -- queries ------------------------------------------------------------
     def __len__(self) -> int:

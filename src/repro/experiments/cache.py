@@ -8,12 +8,13 @@ point's canonical JSON serialization plus a code-version salt.  Re-running a
 figure after editing one scheme's configuration therefore recomputes only
 that scheme's points — every other key is unchanged and hits.
 
-The salt (:func:`cache_salt`) folds in a SHA-256 of the semantics-bearing
-sources (:data:`SEMANTIC_PACKAGES`), so editing the simulator, the placement
-schemes or the workload generator invalidates every entry by itself: a
-cached result from older code can never pass as a fresh one.  The package
-version and the hand-set :data:`CACHE_SALT` are folded in too; bump the
-latter only for a result-changing edit outside those packages.
+The salt (:func:`cache_salt`) folds in a SHA-256 of every ``repro`` source
+file that :data:`POINT_MODULE`, the module that evaluates a point, reaches
+by import (:func:`semantic_sources`, a static ``ast`` walk).  Editing any
+code a point runs therefore invalidates every entry by itself: a cached
+result from older code can never pass as a fresh one.  The package version
+and the hand-set :data:`CACHE_SALT` are folded in too; bump the latter only
+when the cached payload format changes.
 
 Entries are pickles written atomically (temp file + ``os.replace``), fanned
 out over 256 two-hex-character subdirectories.  Corrupt or unreadable
@@ -22,6 +23,7 @@ entries are treated as misses and overwritten, never raised.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -30,28 +32,29 @@ import pickle
 import tempfile
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, List, Optional
 
 __all__ = [
     "CACHE_SALT",
     "MISS",
-    "SEMANTIC_PACKAGES",
+    "POINT_MODULE",
     "ResultCache",
     "cache_salt",
     "canonicalize",
     "canonical_json",
     "content_key",
     "default_cache_dir",
+    "semantic_sources",
     "source_digest",
 ]
 
-#: Hand-set part of the salt.  Edits under :data:`SEMANTIC_PACKAGES` change
-#: the salt on their own; bump this only for a result-changing edit
-#: elsewhere (the sweep drivers, the cache payload format).
+#: Hand-set part of the salt.  Source edits change the salt on their own;
+#: bump this only when the cached payload format changes.
 CACHE_SALT = "sweep-v1"
 
-#: Subpackages of ``repro`` whose source bytes decide simulated results.
-SEMANTIC_PACKAGES = ("des", "hardware", "placement", "redundancy", "sim", "workload")
+#: The module that evaluates a sweep point.  The ``repro`` sources in its
+#: import closure decide every cached result.
+POINT_MODULE = "repro.experiments.parallel"
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
@@ -88,20 +91,70 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(canonicalize(obj), sort_keys=True, separators=(",", ":"))
 
 
-@lru_cache(maxsize=None)
-def source_digest() -> str:
-    """SHA-256 of the :data:`SEMANTIC_PACKAGES` sources, once per process.
+def _module_file(root: Path, module: str) -> Optional[Path]:
+    """The source file of ``repro`` module ``module``, or None."""
+    base = root.joinpath(*module.split(".")[1:])
+    for path in (base / "__init__.py", base.with_suffix(".py")):
+        if path.is_file():
+            return path
+    return None
 
-    Hashes every file under those packages except ``__pycache__``, in
-    sorted relative-path order, as path, byte length and bytes.
+
+def _imported_names(path: Path, module: str) -> Iterator[str]:
+    """Absolute names of what ``path`` imports, anywhere in its body.
+
+    For ``from X import a`` both ``X`` and ``X.a`` are named, since ``a``
+    may be a submodule.
+    """
+    package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+    for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                anchor = ".".join(parts[: len(parts) - node.level + 1])
+                base = f"{anchor}.{base}" if base else anchor
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def semantic_sources() -> List[Path]:
+    """Every ``repro`` source file :data:`POINT_MODULE` reaches by import.
+
+    A static walk, so the set does not depend on what else the process has
+    imported.  Importing a module runs its parent packages' ``__init__``
+    first, so those are walked too.
     """
     root = Path(__file__).resolve().parent.parent
-    files = sorted(
-        path
-        for package in SEMANTIC_PACKAGES
-        for path in (root / package).rglob("*")
-        if path.is_file() and "__pycache__" not in path.parts
-    )
+    found = {}
+    todo = [POINT_MODULE]
+    while todo:
+        parts = todo.pop().split(".")
+        for depth in range(1, len(parts) + 1):
+            module = ".".join(parts[:depth])
+            if module in found:
+                continue
+            found[module] = path = _module_file(root, module)
+            if path is not None:
+                todo.extend(
+                    name
+                    for name in _imported_names(path, module)
+                    if name.split(".", 1)[0] == "repro"
+                )
+    return sorted(path for path in found.values() if path is not None)
+
+
+@lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 of :func:`semantic_sources`, once per process.
+
+    Hashes each file in sorted relative-path order, as path, byte length
+    and bytes.
+    """
+    root = Path(__file__).resolve().parent.parent
+    files = semantic_sources()
     digest = hashlib.sha256()
     for path in files:
         data = path.read_bytes()

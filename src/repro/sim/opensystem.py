@@ -1227,9 +1227,9 @@ class _LibraryDispatcher:
                     yield event
                 djob = self.inbox.pop(idx)
                 job = djob.job
-                record = djob.records.setdefault(
-                    drive_name, DriveServiceRecord(drive_name)
-                )
+                record = djob.records.get(drive_name)
+                if record is None:
+                    record = djob.records[drive_name] = DriveServiceRecord(drive_name)
                 if djob.started_at is None:
                     djob.started_at = env.now
                 if env.now > djob.submitted_at:

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from repro.experiments.cache import (
     canonicalize,
     content_key,
     default_cache_dir,
+    semantic_sources,
     source_digest,
 )
 
@@ -111,6 +113,45 @@ class TestSourceSalt:
         before = content_key({"point": 1})
         monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
         assert content_key({"point": 1}) != before
+
+    def test_hashed_files_cover_the_point_import_closure(self):
+        root = Path(cache_module.__file__).resolve().parent.parent
+        hashed = {path.relative_to(root).as_posix() for path in semantic_sources()}
+        for name in (
+            "catalog/index.py",
+            "obs/registry.py",
+            "units.py",
+            "experiments/parallel.py",
+            "experiments/cache.py",
+            "des/monitor.py",
+            "sim/opensystem.py",
+            "__init__.py",
+        ):
+            assert name in hashed, name
+        # The CLI is not on the point path.
+        assert "cli.py" not in hashed
+
+    def test_editing_a_module_outside_the_old_package_list_changes_the_salt(
+        self, tmp_path
+    ):
+        src = Path(cache_module.__file__).resolve().parents[2]
+        copy = tmp_path / "src"
+        shutil.copytree(
+            src / "repro", copy / "repro", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        code = "from repro.experiments.cache import cache_salt; print(cache_salt())"
+
+        def salt():
+            env = dict(os.environ, PYTHONPATH=str(copy))
+            return subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout.strip()
+
+        assert salt() == cache_salt()
+        with (copy / "repro" / "catalog" / "index.py").open("a") as fh:
+            fh.write("\n# edited\n")
+        assert salt() != cache_salt()
 
     def test_digest_computed_once_per_process(self):
         source_digest()

@@ -489,3 +489,16 @@ class TestOpenPointsAcrossWorkers:
         assert (tmp_path / "pooled.jsonl").read_text() == (
             tmp_path / "serial.jsonl"
         ).read_text()
+
+    def test_warm_replay_leaves_spans_undecoded(self, tmp_path, monkeypatch):
+        """A replayed point carries its spans as an undecoded blob that
+        still equals the cold run's trace once something reads it."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        opts = EngineOptions(workers=1, cache_dir=str(tmp_path))
+        cold = run_sweep(self._open_sweep(), opts)
+        warm = run_sweep(self._open_sweep(), opts)
+        assert warm.stats["cache_hits"] == len(warm) == 2
+        for c, w in zip(cold, warm):
+            assert "_spans" not in vars(w.result.trace)
+            assert w.result.trace == c.result.trace
+            assert len(w.result.trace) > 0
