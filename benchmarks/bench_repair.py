@@ -1,8 +1,10 @@
 """Repair-subsystem armed overhead: media faults must cost ~nothing idle.
 
-ISSUE 9 threads media-fault checks into the concurrent dispatcher's hot
-path (a lost-tape guard on submit, repair-aware queue ordering in
-``_try_assign``, wear accounting at job completion).  Arming the
+The repair subsystem threads media-fault checks into the concurrent
+dispatcher's hot path: a lost-tape guard on submit, repair-aware
+admission (``_pick`` walks the user and repair classes of the indexed
+pending queue, per-tape buckets ordered by a head heap, in
+repair-policy order) and wear accounting at job completion.  Arming the
 subsystem without any media actually failing is the common case — a
 fleet runs with repair *configured* for years between cartridge deaths —
 so that configuration must not tax the fault-free stream.  This bench

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..hardware.system import TapeSystem
 from ..hardware.tape import ObjectExtent, TapeId
 
-__all__ = ["LocationIndex", "RedundancyGroup"]
+__all__ = ["LocationIndex", "RedundancyGroup", "RequestPlan"]
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,35 @@ class RedundancyGroup:
         return self.needed * self.members[0][1].size_mb
 
 
+_START = attrgetter("start_mb")
+
+
+@dataclass
+class RequestPlan:
+    """One request resolved to per-tape reads, memoized by the index.
+
+    ``tapes`` pairs each tape with its extents sorted by ``start_mb``, in
+    :meth:`LocationIndex.group_by_tape` order, and ``total_mb`` sums the
+    extents in that grouping's order.  ``lpt`` has one slot per tape, which
+    the open-system dispatcher fills with ``(tape spec, planner,
+    beginning-of-tape order, negated service time)`` and replans when the
+    spec or the planner is another object.
+    """
+
+    object_ids: Sequence[int]
+    tapes: Tuple[Tuple[TapeId, Tuple[ObjectExtent, ...]], ...]
+    total_mb: float
+    lpt: List[Optional[tuple]]
+
+
 class LocationIndex:
     """Maps every placed object id to its tape(s) and extent(s)."""
 
     def __init__(self) -> None:
         self._locations: Dict[int, List[Tuple[TapeId, ObjectExtent]]] = {}
         self._redundant = False
+        #: Request id -> its :class:`RequestPlan`; cleared by every change.
+        self._plans: Dict[int, RequestPlan] = {}
 
     @classmethod
     def from_system(cls, system: TapeSystem) -> "LocationIndex":
@@ -84,6 +108,7 @@ class LocationIndex:
         return index
 
     def add(self, object_id: int, tape_id: TapeId, extent: ObjectExtent) -> None:
+        self._plans.clear()
         entries = self._locations.get(object_id)
         if entries is None:
             self._locations[object_id] = [(tape_id, extent)]
@@ -139,6 +164,7 @@ class LocationIndex:
         entries = self._entries(object_id)
         for i, (tid, extent) in enumerate(entries):
             if tid == tape_id and extent.part == part and extent.replica == replica:
+                self._plans.clear()
                 del entries[i]
                 return extent
         raise KeyError(
@@ -224,6 +250,27 @@ class LocationIndex:
                 for tape_id, extent in members[:needed]:
                     groups[tape_id].append(extent)
         return dict(groups)
+
+    def request_plan(self, request) -> RequestPlan:
+        """``request``'s :class:`RequestPlan`, built on its first sighting.
+
+        Memoized per request id while the index is unchanged; a request
+        object with that id but other ``object_ids`` (not the same object)
+        is planned afresh.
+        """
+        plan = self._plans.get(request.id)
+        if plan is None or plan.object_ids is not request.object_ids:
+            groups = self.group_by_tape(request.object_ids)
+            plan = self._plans[request.id] = RequestPlan(
+                object_ids=request.object_ids,
+                tapes=tuple(
+                    (tape_id, tuple(sorted(extents, key=_START)))
+                    for tape_id, extents in groups.items()
+                ),
+                total_mb=sum(e.size_mb for extents in groups.values() for e in extents),
+                lpt=[None] * len(groups),
+            )
+        return plan
 
     def redundancy_groups(self, object_ids: Iterable[int]) -> List[RedundancyGroup]:
         """A request's fragments as redundancy groups, in request order.

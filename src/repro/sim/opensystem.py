@@ -33,11 +33,13 @@ import gc
 from collections import deque
 from dataclasses import dataclass, field, replace as _dc_replace
 from heapq import heappop, heappush
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from operator import attrgetter, itemgetter
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from ..catalog import Request
+from ..catalog.index import RequestPlan
 from ..des import Environment, Event, Interrupt, Resource, ResourceUsageMonitor, Trace
 from ..hardware import ObjectExtent, TapeDrive, TapeLibrary, TapeId
 from ..obs import MetricsRegistry
@@ -46,7 +48,7 @@ from .engine import RequestExecution, _serve_job, _switch_to
 from .faults import FaultEscalation, FaultInjector, FaultSpec
 from .metrics import DriveServiceRecord, RequestMetrics, WindowStat, sliding_window_stats
 from .queueing import QueuedRequestRecord, QueueingResult
-from .scheduling import TapeJob, estimate_job_time, lpt_key
+from .scheduling import TapeJob, estimate_job_time, lpt_plan
 from .seekplanner import SeekPlanner, resolve_seek_planner
 
 __all__ = [
@@ -61,6 +63,7 @@ __all__ = [
 _Outcome = Tuple[QueuedRequestRecord, RequestMetrics]
 
 _INF = float("inf")
+_START = attrgetter("start_mb")
 
 
 @dataclass
@@ -391,40 +394,62 @@ class ConcurrentPolicy:
 
     def _submit_tape_jobs(
         self,
-        tape_extents: Dict[TapeId, List[ObjectExtent]],
+        jobs: Union[RequestPlan, Mapping[TapeId, Sequence[ObjectExtent]]],
         trace_key: int,
         parent: Optional[int],
         records: Dict[str, DriveServiceRecord],
         repair: bool = False,
     ) -> List[_DispatchedJob]:
-        """Fan per-tape extent lists out to the library dispatchers."""
+        """Fan per-tape extent lists out to the library dispatchers.
+
+        Each library's jobs go out longest-processing-time first, as in the
+        closed-loop planner, each priced against its holder's spec (or the
+        default).  A memoized :class:`RequestPlan` brings its extents
+        already sorted and keeps each tape's beginning-of-tape order and
+        service time in ``plan.lpt`` across arrivals; the jobs share that
+        immutable order in ``job.planned``.
+        """
         os = self.os
         env = os.env
-        djobs: List[_DispatchedJob] = []
-        by_library: Dict[int, List[TapeJob]] = {}
-        for tape_id, extents in tape_extents.items():
-            by_library.setdefault(tape_id.library, []).append(
-                TapeJob(tape_id, sorted(extents, key=lambda e: e.start_mb))
-            )
         planner = os.seek_planner
+        if isinstance(jobs, RequestPlan):
+            tapes, lpt = jobs.tapes, jobs.lpt
+        else:
+            tapes = [
+                (tape_id, tuple(sorted(extents, key=_START)))
+                for tape_id, extents in jobs.items()
+            ]
+            lpt = [None] * len(tapes)
+        djobs: List[_DispatchedJob] = []
+        by_library: Dict[int, List[int]] = {}
+        for i, (tape_id, _) in enumerate(tapes):
+            by_library.setdefault(tape_id.library, []).append(i)
         for library_id in sorted(by_library):
             library = os.system.libraries[library_id]
-            tape_jobs = by_library[library_id]
-            # Longest-processing-time first, as in the closed-loop planner,
-            # each job priced against its holder's spec (or the default).
             holders = library.mounted_tapes()
             default_spec = library.spec.tape
             transfer_time = library.spec.drive.transfer_time
-
-            def key(job: TapeJob) -> tuple:
-                holder = holders.get(job.tape_id)
+            queued = []
+            for i in by_library[library_id]:
+                tape_id, extents = tapes[i]
+                holder = holders.get(tape_id)
                 spec = holder.tape_spec if holder is not None else default_spec
-                return lpt_key(job, spec, transfer_time, planner)
-
-            tape_jobs.sort(key=key)
-            for job in tape_jobs:
+                entry = lpt[i]
+                if entry is None or entry[0] is not spec or entry[1] is not planner:
+                    order, seconds = lpt_plan(
+                        TapeJob(tape_id, extents), spec, transfer_time, planner
+                    )
+                    order = tuple(order)
+                    if order == extents:
+                        order = extents  # an ascending sweep: share the tuple
+                    entry = lpt[i] = (spec, planner, order, -seconds)
+                queued.append((entry[3], tape_id, extents, (spec, entry[2])))
+            # LPT first: longest estimate, then tape id (unique in a library).
+            queued.sort(key=itemgetter(0, 1))
+            for _, tape_id, extents, planned in queued:
                 djob = _DispatchedJob(
-                    job=job, request_id=trace_key, records=records, done=env.event(),
+                    job=TapeJob(tape_id, extents, planned=planned),
+                    request_id=trace_key, records=records, done=env.event(),
                     submitted_at=env.now, span_id=os.trace.reserve_id(),
                     parent_id=parent, repair=repair,
                 )
@@ -447,14 +472,13 @@ class ConcurrentPolicy:
             )
             return outcome
         trace_key = token if token is not None else request.id
-        jobs = os.index.group_by_tape(request.object_ids)
-        total_mb = sum(e.size_mb for extents in jobs.values() for e in extents)
+        plan = os.index.request_plan(request)
         records: Dict[str, DriveServiceRecord] = {}
-        djobs = self._submit_tape_jobs(jobs, trace_key, parent, records)
+        djobs = self._submit_tape_jobs(plan, trace_key, parent, records)
 
         yield env.all_of([dj.done for dj in djobs])
         return self._outcome(
-            request, arrival_s, total_mb, len(jobs), records, djobs,
+            request, arrival_s, plan.total_mb, len(plan.tapes), records, djobs,
             aborted=any(dj.aborted for dj in djobs),
         )
 
@@ -692,7 +716,17 @@ class _LibraryDispatcher:
     * a ``committed`` drive is ``busy`` whenever a round runs: assignment,
       completion, failure and the pinned restore set or clear both in one
       synchronous step;
-    * ``pending_count`` and each class's ``count`` equal the jobs queued.
+    * ``pending_count`` and each class's ``count`` equal the jobs queued;
+    * ``_live`` lists the drives in ``workers`` in drive order, with
+      whether each may switch; it is rebuilt wherever ``workers`` changes
+      (construction, repair, a worker's failure exit), never per round.
+
+    A round makes assignment attempts until one places nothing.  Each
+    attempt makes one pass over ``_live``; when no idle drive may take a
+    tape without a holder and no idle drive holds an uncommitted tape with
+    queued jobs, nothing is admissible and the attempt ends before
+    ``_pick``.  Only attempts that reach ``_pick`` build the round's
+    slot -> holder map, once per round.
     """
 
     def __init__(self, opensys: "OpenSystem", library: TapeLibrary) -> None:
@@ -764,6 +798,24 @@ class _LibraryDispatcher:
             for drive in library.drives
             if not drive.failed
         }
+        self._refresh_live()
+        #: Slot -> live holder drive, built by the first attempt of a round
+        #: that reaches :meth:`_pick` and reused for the rest of the round.
+        self._mounted: Optional[Dict[int, TapeDrive]] = None
+
+    def _refresh_live(self) -> None:
+        """Cache the live-drive pool as ``(index, drive, may switch)``, in
+        drive order.
+
+        A drive may switch tapes unless it is pinned and some unpinned
+        drive is alive (otherwise the pool is degraded).  Called wherever
+        ``workers`` changes: construction, a repair and a worker's failure
+        exit; ``pinned`` is fixed for the whole run.
+        """
+        workers = self.workers
+        live = [d for d in self.library.drives if d.id.index in workers]
+        degraded = all(d.pinned for d in live)
+        self._live = [(d.id.index, d, degraded or not d.pinned) for d in live]
 
     @property
     def pending_count(self) -> int:
@@ -843,38 +895,77 @@ class _LibraryDispatcher:
         return djob.cost
 
     def _dispatch(self) -> None:
-        if self._user.count or self._repair.count:
-            # Round-invariant context: the live-drive pool and its degraded
-            # flag cannot change during a synchronous dispatch round
-            # (workers only resume at a later kernel step), and neither can
-            # mounts, indexed here by slot in drive order (``setdefault``
-            # keeps the first holder).
-            workers = self.workers
-            drives = self.library.drives
-            live = [d for d in drives if d.id.index in workers]
-            degraded = not any(not d.pinned for d in live)
-            mounted = {}
-            for d in drives:
-                tape = d.mounted
-                if tape is not None:
-                    mounted.setdefault(tape.id.slot, d)
-            while self.pending_count and self._assign_next(live, degraded, mounted):
+        user, repair = self._user, self._repair
+        if user.count or repair.count:
+            # Mounts cannot change during a synchronous dispatch round
+            # (workers only resume at a later kernel step), so the first
+            # attempt that needs the slot -> holder map builds it once.
+            self._mounted = None
+            while (user.count or repair.count) and self._assign_next():
                 pass
-        self.pending_gauge.set(self.pending_count, self.env.now)
+        self.pending_gauge.set(user.count + repair.count, self.env.now)
         if self._restore_waiters:
             waiters, self._restore_waiters = self._restore_waiters, []
             for event in waiters:
                 if not event.triggered:
                     event.succeed()
 
-    def _assign_next(self, live, degraded, mounted) -> bool:
-        """Assign the first admissible pending job; True if one was placed."""
-        busy = self.busy
-        idle = [d for d in live if d.id.index not in busy]
-        if not idle:
-            return False
-        free = self._free_drive(idle, degraded)
-        ready = self._ready_drives(idle) if free is None else None
+    def _assign_next(self) -> bool:
+        """Assign the first admissible pending job; True if one was placed.
+
+        One pass over the live drives finds the idle ones and, among them,
+        the free drive any tape without a holder would take (the
+        lowest-index idle empty switch drive, else the idle switch drive
+        whose unprotected tape the replacement policy displaces first) and
+        the ready drives: idle holders of an uncommitted tape with queued
+        jobs.  With neither, :meth:`_pick` could only return ``None``, so
+        the attempt ends there, keeping its one side effect: the
+        fair-share refill of a round that meters a repair job.
+        """
+        busy, committed = self.busy, self.committed
+        user, repair = self._user.buckets, self._repair.buckets
+        idle = False
+        free = None
+        displaceable = []
+        ready = {}
+        for idx, d, switches in self._live:
+            if idx in busy:
+                continue
+            idle = True
+            tape = d.mounted
+            if tape is None:
+                if switches and free is None:
+                    free = d  # drive order: the first empty wins
+                continue
+            slot = tape.id.slot
+            if slot in committed:
+                continue
+            if slot in user or slot in repair:
+                ready[slot] = d
+            elif switches and free is None:
+                displaceable.append(d)
+        if free is None:
+            if displaceable:
+                key, priority = self.displacement_key, self.tape_priority
+                free = min(displaceable, key=lambda d: key(d, priority))
+            elif not ready:
+                if (
+                    idle
+                    and self.repair_policy == "fair-share"
+                    and self._user.count
+                    and self._repair.count
+                ):
+                    self._accrue_repair_tokens()
+                return False
+        mounted = self._mounted
+        if mounted is None:
+            # Indexed by slot in drive order (``setdefault`` keeps the
+            # first holder).
+            mounted = self._mounted = {}
+            for d in self.library.drives:
+                tape = d.mounted
+                if tape is not None:
+                    mounted.setdefault(tape.id.slot, d)
         pick = self._pick(free, ready, mounted)
         if pick is None:
             return False
@@ -885,40 +976,6 @@ class _LibraryDispatcher:
             self._repair_tokens -= cost
         self._assign(djob, drive)
         return True
-
-    def _free_drive(self, idle: List[TapeDrive], degraded: bool) -> Optional[TapeDrive]:
-        """The drive any tape without a holder would take, or ``None``.
-
-        Job-invariant: the lowest-index idle empty switch drive, else the
-        idle switch drive whose unprotected tape the replacement policy
-        displaces first.
-        """
-        displaceable = []
-        user, repair, committed = self._user.buckets, self._repair.buckets, self.committed
-        for d in idle:
-            if d.pinned and not degraded:
-                continue
-            tape = d.mounted
-            if tape is None:
-                return d  # ``idle`` is in drive order: the first empty wins
-            slot = tape.id.slot
-            if slot not in user and slot not in repair and slot not in committed:
-                displaceable.append(d)
-        if not displaceable:
-            return None
-        key, priority = self.displacement_key, self.tape_priority
-        return min(displaceable, key=lambda d: key(d, priority))
-
-    def _ready_drives(self, idle: List[TapeDrive]) -> Dict[int, TapeDrive]:
-        """Slot -> idle holder drive: with no free drive, the only tapes
-        that can be served this round are those an idle drive holds (a
-        committed tape's drive is always busy)."""
-        ready = {}
-        for d in idle:
-            tape = d.mounted
-            if tape is not None and tape.id.slot not in self.committed:
-                ready[tape.id.slot] = d
-        return ready
 
     def _pick(self, free, ready, mounted):
         """``(job, drive, token cost)`` of the first admissible job in policy
@@ -953,10 +1010,10 @@ class _LibraryDispatcher:
 
         A tape is admissible when its holder (committed drive, else the
         live drive it is mounted in) is idle, or when it has no holder and
-        ``free`` is set.  With ``free`` unset only the ``ready`` tapes can
-        be; otherwise buckets are walked in head order, skipping whole
-        tapes whose holder is busy.  ``metered`` additionally requires a
-        repair job's token cost to be covered.
+        ``free`` is set.  With ``free`` unset only the ``ready`` tapes (slot
+        -> idle holder) can be; otherwise buckets are walked in head order,
+        skipping whole tapes whose holder is busy.  ``metered`` additionally
+        requires a repair job's token cost to be covered.
         """
         buckets = queue.buckets
         best = None
@@ -1081,6 +1138,7 @@ class _LibraryDispatcher:
             return False
         drive.failed = False
         self.workers[idx] = self.env.process(self._worker(drive))
+        self._refresh_live()
         injector = self.opensys.injector
         if injector is not None:
             injector.note_drive_up(str(drive.id))
@@ -1287,6 +1345,7 @@ class _LibraryDispatcher:
             if drive.mounted is not None:
                 drive.unmount()  # cartridge pulled back to its cell
             self.workers.pop(idx, None)
+            self._refresh_live()
             self.wake.pop(idx, None)
             self.busy.discard(idx)
             self._dying.discard(idx)
@@ -1321,6 +1380,8 @@ class _LibraryDispatcher:
         self, djob: _DispatchedJob, drive_name: str, aborted: bool = False
     ) -> None:
         """Close the job's reserved ``tape_job`` span (exactly once)."""
+        if djob.span_id is None:
+            return  # tracing is off: no id was reserved
         attrs = {"tape": str(djob.job.tape_id), "drive": drive_name}
         if aborted:
             attrs["aborted"] = True

@@ -18,7 +18,7 @@ without running the event loop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from ..hardware import ObjectExtent, TapeLibrary, TapeId, TapeSpec
 from .replacement import replacement_key
@@ -29,6 +29,7 @@ __all__ = [
     "LibraryPlan",
     "estimate_job_time",
     "lpt_key",
+    "lpt_plan",
     "build_library_plan",
 ]
 
@@ -44,12 +45,15 @@ class TapeJob:
     """
 
     tape_id: TapeId
-    extents: List[ObjectExtent]
+    #: Never mutated in place: the open-system dispatcher shares one
+    #: memoized tuple among the jobs of repeated requests.
+    extents: Sequence[ObjectExtent]
     completed: int = 0
     #: ``(tape_spec, order)`` planned from beginning of tape by the LPT
-    #: sort (:func:`lpt_key`); the engine serves ``order`` as is when the
-    #: job starts at beginning of tape on a drive with that spec, instead
-    #: of planning the same extents again.
+    #: sort (:func:`lpt_key`, or :func:`lpt_plan` memoized by the open-system
+    #: dispatcher); the engine serves ``order`` as is when the job starts
+    #: at beginning of tape on a drive with that spec, instead of planning
+    #: the same extents again.
     planned: Optional[tuple] = None
 
     @property
@@ -57,7 +61,7 @@ class TapeJob:
         return sum(e.size_mb for e in self.extents)
 
     @property
-    def remaining_extents(self) -> List[ObjectExtent]:
+    def remaining_extents(self) -> Sequence[ObjectExtent]:
         """Extents not yet fully read (the in-flight one counts as unread)."""
         return self.extents[self.completed :]
 
@@ -65,7 +69,7 @@ class TapeJob:
     def is_done(self) -> bool:
         return self.completed >= len(self.extents)
 
-    def begin(self, ordered: List[ObjectExtent]) -> None:
+    def begin(self, ordered: Sequence[ObjectExtent]) -> None:
         """Install the sweep order chosen by the engine and reset progress."""
         self.extents = ordered
         self.completed = 0
@@ -121,22 +125,32 @@ def estimate_job_time(
     return seek + library.spec.drive.transfer_time(job.bytes_mb)
 
 
+def lpt_plan(
+    job: TapeJob,
+    tape_spec: TapeSpec,
+    transfer_time: Callable[[float], float],
+    planner: SeekPlanner,
+) -> Tuple[List[ObjectExtent], float]:
+    """``job``'s beginning-of-tape order and estimated service time (seek
+    plus transfer) from beginning of tape, the seek part planned against
+    ``tape_spec`` (the holder's spec, or the library's default for an
+    offline tape)."""
+    order, seek = planner.plan(job.extents, 0.0, tape_spec)
+    return order, seek + transfer_time(job.bytes_mb)
+
+
 def lpt_key(
     job: TapeJob,
     tape_spec: TapeSpec,
     transfer_time: Callable[[float], float],
     planner: SeekPlanner,
 ) -> tuple:
-    """Longest-processing-time-first sort key of ``job``: its estimated
-    service time from beginning of tape, negated, then its tape id.
-
-    The seek part is planned against ``tape_spec`` (the holder's spec, or
-    the library's default for an offline tape) and the plan is kept in
-    ``job.planned`` for the engine to reuse.
-    """
-    order, seek = planner.plan(job.extents, 0.0, tape_spec)
+    """Longest-processing-time-first sort key of ``job``: its
+    :func:`lpt_plan` service time, negated, then its tape id.  The order
+    is kept in ``job.planned`` for the engine to reuse."""
+    order, seconds = lpt_plan(job, tape_spec, transfer_time, planner)
     job.planned = (tape_spec, order)
-    return (-(seek + transfer_time(job.bytes_mb)), job.tape_id)
+    return (-seconds, job.tape_id)
 
 
 def build_library_plan(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.catalog import LocationIndex
+from repro.catalog import LocationIndex, Request
 from repro.hardware import LibrarySpec, ObjectExtent, SystemSpec, TapeId, TapeSystem
 
 
@@ -67,3 +67,77 @@ def test_contains(system):
     index = LocationIndex.from_system(system)
     assert 5 in index
     assert 6 not in index
+
+
+def _striped_index():
+    """Objects 1 and 2 share L0.T0 (2 first, further down the tape); object
+    3 is striped over L0.T1 and L1.T0."""
+    index = LocationIndex()
+    index.add(1, TapeId(0, 0), ObjectExtent(1, 500.0, 10.0))
+    index.add(2, TapeId(0, 0), ObjectExtent(2, 100.0, 20.0))
+    index.add(3, TapeId(0, 1), ObjectExtent(3, 0.0, 5.0, part=0, parts=2))
+    index.add(3, TapeId(1, 0), ObjectExtent(3, 40.0, 5.0, part=1, parts=2))
+    return index
+
+
+class TestRequestPlan:
+    def test_tapes_sorted_by_start_in_group_order(self):
+        index = _striped_index()
+        plan = index.request_plan(Request(0, (1, 3, 2), 1.0))
+        groups = index.group_by_tape((1, 3, 2))
+        assert [tape_id for tape_id, _ in plan.tapes] == list(groups)
+        assert [[e.object_id for e in extents] for _, extents in plan.tapes] == [
+            [2, 1], [3], [3]
+        ]
+        assert plan.total_mb == sum(e.size_mb for g in groups.values() for e in g)
+
+    def test_contents_are_tuples(self):
+        plan = _striped_index().request_plan(Request(0, (1, 2, 3), 1.0))
+        assert isinstance(plan.tapes, tuple)
+        for pair in plan.tapes:
+            assert isinstance(pair, tuple) and isinstance(pair[1], tuple)
+
+    def test_memoized_per_request(self):
+        index = _striped_index()
+        request = Request(0, (1, 2), 1.0)
+        plan = index.request_plan(request)
+        assert index.request_plan(request) is plan
+        # Another request object with the same id and the same ids tuple.
+        assert index.request_plan(Request(0, request.object_ids, 1.0)) is plan
+
+    def test_same_id_other_objects_misses(self):
+        index = _striped_index()
+        first = index.request_plan(Request(0, (1, 2), 1.0))
+        other = index.request_plan(Request(0, (3,), 1.0))
+        assert other is not first
+        assert [tape_id for tape_id, _ in other.tapes] == [TapeId(0, 1), TapeId(1, 0)]
+        # An equal but distinct ids tuple is not trusted either.
+        assert index.request_plan(Request(0, tuple([3]), 1.0)) is not other
+
+    def test_add_clears_the_memo(self):
+        index = LocationIndex()
+        index.add(2, TapeId(0, 1), ObjectExtent(2, 0.0, 5.0, part=0, parts=2))
+        request = Request(0, (2,), 1.0)
+        before = index.request_plan(request)
+        assert [tape_id for tape_id, _ in before.tapes] == [TapeId(0, 1)]
+        index.add(2, TapeId(1, 0), ObjectExtent(2, 40.0, 5.0, part=1, parts=2))
+        after = index.request_plan(request)
+        assert [tape_id for tape_id, _ in after.tapes] == [TapeId(0, 1), TapeId(1, 0)]
+        assert after.total_mb == 10.0
+
+    def test_remove_member_clears_the_memo(self):
+        index = _striped_index()
+        request = Request(0, (3,), 1.0)
+        assert len(index.request_plan(request).tapes) == 2
+        index.remove_member(3, TapeId(1, 0), part=1, replica=0)
+        after = index.request_plan(request)
+        assert [tape_id for tape_id, _ in after.tapes] == [TapeId(0, 1)]
+        assert after.total_mb == 5.0
+
+    def test_failed_remove_keeps_the_memo(self):
+        index = _striped_index()
+        request = Request(0, (1, 2), 1.0)
+        plan = index.request_plan(request)
+        with pytest.raises(KeyError):
+            index.remove_member(1, TapeId(1, 1), part=0, replica=0)
+        assert index.request_plan(request) is plan

@@ -6,6 +6,12 @@ from repro.des import Environment, Resource, ResourceUsageMonitor, Span, Trace
 from repro.obs import MetricsRegistry
 
 
+@pytest.fixture(autouse=True)
+def _tracing_on(monkeypatch):
+    """These tests record spans: keep ``REPRO_TRACE=0`` from disabling them."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+
+
 class _Clock:
     """Minimal env stand-in for SpanContext unit tests."""
 
@@ -27,6 +33,14 @@ def test_record_and_len():
     trace.record("a", 0, 1)
     trace.record("b", 1, 2)
     assert len(trace) == 2
+
+
+def test_repro_trace_0_disables_a_default_trace(monkeypatch):
+    monkeypatch.setenv("REPRO_TRACE", "0")
+    trace = Trace()
+    assert not trace.enabled
+    assert trace.record("a", 0, 1) is None
+    assert len(trace) == 0
 
 
 def test_disabled_trace_records_nothing():

@@ -6,7 +6,9 @@ indexed by tape.  At every assignment round of a run, the shadow evaluates
 it on the dispatcher's live state (without side effects: the fair-share
 token bucket is refilled on a copy), lets the indexed dispatcher act, and
 asserts both chose the same job and the same drive and left the token
-bucket in the same state.  The pinned configurations of
+bucket in the same state.  That includes the attempts that end before
+``_pick`` because no idle drive can take any queued tape: the scan must
+find nothing there either.  The pinned configurations of
 ``test_dispatch_pins`` run under the shadow, then a hypothesis matrix over
 scheme × faults × r × repair policy × replacement policy × read selection
 × seed.
@@ -127,21 +129,38 @@ def reference_pick(dispatcher, replacement_policy):
 
 @contextmanager
 def shadowed(replacement_policy):
-    """Check every assignment round against :func:`reference_pick`."""
-    stats = {"rounds": 0, "picks": 0, "repair_picks": 0}
+    """Check every assignment attempt against :func:`reference_pick`.
+
+    An attempt that returns without calling ``_pick`` ended early; the
+    scan must find nothing there either and leave the same token bucket.
+    ``early_refills`` counts the early exits that refilled that bucket.
+    """
+    stats = {"rounds": 0, "picks": 0, "repair_picks": 0, "early_exits": 0, "early_refills": 0}
     assign_next = _LibraryDispatcher._assign_next
     assign = _LibraryDispatcher._assign
+    pick = _LibraryDispatcher._pick
     chosen = []
+    picked = []
 
     def recording_assign(self, djob, drive):
         chosen.append((djob, drive))
         assign(self, djob, drive)
 
-    def checked_assign_next(self, live, degraded, mounted):
+    def recording_pick(self, free, ready, mounted):
+        picked.append(True)
+        return pick(self, free, ready, mounted)
+
+    def checked_assign_next(self):
         job, drive, tokens, tokens_at = reference_pick(self, replacement_policy)
         chosen.clear()
-        placed = assign_next(self, live, degraded, mounted)
+        picked.clear()
+        tokens_at_before = self._repair_tokens_at
+        placed = assign_next(self)
         stats["rounds"] += 1
+        if not picked:
+            assert job is None, "an attempt ended early where the scan finds a job"
+            stats["early_exits"] += 1
+            stats["early_refills"] += self._repair_tokens_at != tokens_at_before
         if job is None:
             assert not placed and not chosen, "indexed dispatcher assigned a job the scan would not"
         else:
@@ -156,7 +175,8 @@ def shadowed(replacement_policy):
         return placed
 
     with mock.patch.object(_LibraryDispatcher, "_assign_next", checked_assign_next), \
-            mock.patch.object(_LibraryDispatcher, "_assign", recording_assign):
+            mock.patch.object(_LibraryDispatcher, "_assign", recording_assign), \
+            mock.patch.object(_LibraryDispatcher, "_pick", recording_pick):
         yield stats
 
 
@@ -166,6 +186,7 @@ def test_pinned_configs_match_reference_scan(label):
     with shadowed(session.replacement_policy) as stats:
         session.open(policy="concurrent", **open_kwargs).run(**run_kwargs)
     assert stats["picks"] > 0
+    assert stats["early_exits"] > 0
     if label.startswith("r2-tape-loss"):
         assert stats["repair_picks"] > 0
 
@@ -202,6 +223,30 @@ def _placement(scheme, replicas):
     if replicas > 1:
         placer = wrap_scheme(placer, f"r={replicas}")
     return placer.place(_workload(), SPEC)
+
+
+def test_fair_share_chaos_early_exits_refill_tokens():
+    """Pinned drives idle while user and repair jobs wait for busy switch
+    drives: those attempts end early, and the fair-share bucket must still
+    refill there exactly as ``_pick`` would have refilled it."""
+    session = SimulationSession(
+        _workload(), SPEC, placement=_placement("parallel_batch", 2)
+    )
+    busiest = max(session.system.all_tapes(), key=lambda t: (t.used_mb, t.id))
+    opensys = session.open(
+        policy="concurrent",
+        faults=(
+            DriveFaultProcess(mtbf_s=1500.0, mttr_s=300.0),
+            TapeFailure(str(busiest.id), at_s=200.0),
+        ),
+        fault_seed=1,
+        repair_policy="fair-share",
+    )
+    with shadowed(session.replacement_policy) as stats:
+        opensys.run(480.0, num_arrivals=25, seed=1)
+    assert stats["repair_picks"] > 0
+    assert stats["early_exits"] > 0
+    assert stats["early_refills"] > 0
 
 
 @hyp_settings(
