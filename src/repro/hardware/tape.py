@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Tuple
 
@@ -45,7 +45,7 @@ class TapeId:
         return self._str  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ObjectExtent:
     """A contiguous region of tape holding one object (or one stripe of it).
 
@@ -64,6 +64,10 @@ class ObjectExtent:
     suffice to reconstruct it — ``needed == 1`` is plain replication,
     ``needed == k < replicas == n`` is a k-of-n erasure code.  Striping's
     ``parts`` remain all-required; redundancy members are interchangeable.
+
+    A paper-scale placement builds tens of thousands of extents per scheme,
+    so the class is slotted and its one validating constructor sets the
+    fields through the slot descriptors (assignment still raises).
     """
 
     object_id: int
@@ -81,30 +85,53 @@ class ObjectExtent:
     #: How many members must be read to reconstruct the fragment (1 for
     #: replication, k for erasure coding).
     needed: int = 1
+    #: ``start_mb + size_mb``, computed once: every seek, transfer, sweep
+    #: plan and layout check reads it.
+    end_mb: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.start_mb < 0:
-            raise ValueError(f"extent start must be >= 0, got {self.start_mb}")
-        if self.size_mb <= 0:
-            raise ValueError(f"extent size must be positive, got {self.size_mb}")
-        if self.parts < 1:
-            raise ValueError(f"parts must be >= 1, got {self.parts}")
-        if not 0 <= self.part < self.parts:
-            raise ValueError(f"part {self.part} out of range for {self.parts} parts")
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if not 0 <= self.replica < self.replicas:
-            raise ValueError(
-                f"replica {self.replica} out of range for {self.replicas} replicas"
-            )
-        if not 1 <= self.needed <= self.replicas:
-            raise ValueError(
-                f"needed must be in [1, {self.replicas}], got {self.needed}"
-            )
-        # The extent end is read on every seek/transfer (head advance, sweep
-        # planning, layout validation); computing it once here keeps the
-        # property a plain attribute read.
-        object.__setattr__(self, "_end_mb", self.start_mb + self.size_mb)
+    def __init__(
+        self,
+        object_id: int,
+        start_mb: float,
+        size_mb: float,
+        part: int = 0,
+        parts: int = 1,
+        replica: int = 0,
+        replicas: int = 1,
+        needed: int = 1,
+    ) -> None:
+        if start_mb < 0:
+            raise ValueError(f"extent start must be >= 0, got {start_mb}")
+        if size_mb <= 0:
+            raise ValueError(f"extent size must be positive, got {size_mb}")
+        if parts < 1:
+            raise ValueError(f"parts must be >= 1, got {parts}")
+        if not 0 <= part < parts:
+            raise ValueError(f"part {part} out of range for {parts} parts")
+        if replicas < 1:
+            raise ValueError(f"replicas must be >= 1, got {replicas}")
+        if not 0 <= replica < replicas:
+            raise ValueError(f"replica {replica} out of range for {replicas} replicas")
+        if not 1 <= needed <= replicas:
+            raise ValueError(f"needed must be in [1, {replicas}], got {needed}")
+        _set_object_id(self, object_id)
+        _set_start_mb(self, start_mb)
+        _set_size_mb(self, size_mb)
+        _set_part(self, part)
+        _set_parts(self, parts)
+        _set_replica(self, replica)
+        _set_replicas(self, replicas)
+        _set_needed(self, needed)
+        _set_end_mb(self, start_mb + size_mb)
+
+    def __reduce__(self):
+        # Pickles and copies as the constructor arguments (revalidated on
+        # load), independent of how a Python version pickles frozen slots.
+        return (
+            ObjectExtent,
+            (self.object_id, self.start_mb, self.size_mb, self.part,
+             self.parts, self.replica, self.replicas, self.needed),
+        )
 
     @property
     def is_fragment(self) -> bool:
@@ -114,12 +141,16 @@ class ObjectExtent:
     def is_redundant(self) -> bool:
         return self.replicas > 1
 
-    @property
-    def end_mb(self) -> float:
-        return self._end_mb  # type: ignore[attr-defined]
-
     def overlaps(self, other: "ObjectExtent") -> bool:
         return self.start_mb < other.end_mb and other.start_mb < self.end_mb
+
+
+# The slot descriptors' setters: the frozen ``__setattr__`` refuses every
+# assignment, so the constructor writes each slot through its descriptor.
+(
+    _set_object_id, _set_start_mb, _set_size_mb, _set_part, _set_parts,
+    _set_replica, _set_replicas, _set_needed, _set_end_mb,
+) = (getattr(ObjectExtent, f.name).__set__ for f in fields(ObjectExtent))
 
 
 class Tape:
@@ -166,6 +197,20 @@ class Tape:
                     f"beyond tape capacity {self.spec.capacity_mb} MB"
                 )
         self._extents = extents
+        self._by_object = by_object
+
+    def install_layout(
+        self, extents: Iterable[ObjectExtent], by_object: Dict[int, ObjectExtent]
+    ) -> None:
+        """Replace the layout with one that was checked elsewhere.
+
+        ``extents`` must be sorted by start, non-overlapping and within
+        capacity, and ``by_object`` maps each of their object ids to its
+        extent: ``LocationIndex.from_layouts`` passes layouts that
+        ``PlacementResult.validate`` checked.  :meth:`write_layout` is the
+        checked entry for every other caller.
+        """
+        self._extents = list(extents)
         self._by_object = by_object
 
     def append_object(self, object_id: int, size_mb: float) -> ObjectExtent:

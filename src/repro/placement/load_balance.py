@@ -25,8 +25,10 @@ Interpretation notes (documented in DESIGN.md §5):
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 from ..catalog import ObjectCatalog
@@ -64,6 +66,9 @@ class TapeBin:
         self.workload += load
 
 
+_WORKLOAD = attrgetter("workload")
+
+
 def choose_ndrv(
     cluster_size_mb: float,
     num_objects: int,
@@ -99,15 +104,22 @@ def zigzag_assign(
         ndrv = len(bins)
     ndrv = max(1, min(ndrv, len(bins)))
 
-    # Window: the ndrv least-loaded tapes; within it, Figure-3's decreasing
-    # workload order.
-    window = sorted(bins, key=lambda b: b.workload)[:ndrv]
-    window.sort(key=lambda b: -b.workload)
+    # Window: the ndrv least-loaded tapes, ties in bin order (``min`` and
+    # ``nsmallest`` both equal ``sorted(...)[:ndrv]``, without sorting the
+    # batch); within it, Figure-3's decreasing workload order.
+    if ndrv == 1:
+        window = [min(bins, key=_WORKLOAD)]
+    else:
+        window = heapq.nsmallest(ndrv, bins, key=_WORKLOAD)
+        window.sort(key=lambda b: -b.workload)
 
     # "sort objects in C into increasing order based on load", ties by id.
     sizes, probs = catalog.size_values, catalog.probability_values
     loads = {o: probs[o] * sizes[o] for o in object_ids}
-    ordered = sorted(sorted(object_ids), key=loads.__getitem__)
+    if len(object_ids) == 1:
+        ordered = object_ids
+    else:
+        ordered = sorted(sorted(object_ids), key=loads.__getitem__)
 
     rejected: List[int] = []
     i, flag = 0, 0

@@ -34,7 +34,8 @@ what the engine will charge hop-by-hop.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from ..hardware import ObjectExtent, TapeSpec
 
@@ -57,7 +58,7 @@ Plan = Tuple[List[ObjectExtent], float]
 
 
 def locate_cost(
-    ordered: Sequence[ObjectExtent], head_mb: float, spec: TapeSpec
+    ordered: Iterable[ObjectExtent], head_mb: float, spec: TapeSpec
 ) -> float:
     """Total locate time of reading ``ordered`` in exactly that order.
 
@@ -80,14 +81,15 @@ def locate_cost(
     return cost
 
 
+_START = attrgetter("start_mb")
+
+
 def sweep_cost(
     extents: Sequence[ObjectExtent], head_mb: float, spec: TapeSpec, ascending: bool
 ) -> float:
     """Total locate time of reading ``extents`` in one sweep direction."""
-    if not extents:
-        return 0.0
-    ordered = sorted(extents, key=lambda e: e.start_mb, reverse=not ascending)
-    return locate_cost(ordered, head_mb, spec)
+    ordered = sorted(extents, key=_START)
+    return locate_cost(ordered if ascending else reversed(ordered), head_mb, spec)
 
 
 def plan_retrieval(
@@ -96,18 +98,20 @@ def plan_retrieval(
     """Choose the cheaper sweep; returns (ordered extents, total seek time).
 
     Planning runs once per tape visit inside the simulation hot loop, so the
-    two candidate sweeps are sorted exactly once each and priced through the
-    shared :func:`locate_cost` accumulation.
+    extents are sorted once (callers mostly pass them sorted already) and
+    both sweeps are priced through the shared :func:`locate_cost`
+    accumulation.  The descending sweep is the ascending one reversed: the
+    extents of one tape have positive sizes and do not overlap, so no two
+    share a start.
     """
     if not extents:
         return [], 0.0
-    asc = sorted(extents, key=lambda e: e.start_mb)
+    asc = sorted(extents, key=_START)
     up = locate_cost(asc, head_mb, spec)
-    desc = sorted(extents, key=lambda e: e.start_mb, reverse=True)
-    down = locate_cost(desc, head_mb, spec)
+    down = locate_cost(reversed(asc), head_mb, spec)
     if up <= down:
         return asc, up
-    return desc, down
+    return asc[::-1], down
 
 
 class SeekPlanner:
@@ -177,7 +181,7 @@ class ExactPlanner(SeekPlanner):
         if n <= 1:
             # Agree with the greedy planner on trivial inputs.
             return plan_retrieval(extents, head_mb, spec)
-        ordered = sorted(extents, key=lambda e: e.start_mb)
+        ordered = sorted(extents, key=_START)
         locate = spec.locate_time
         startup = spec.locate_startup_s
         rate = spec.locate_rate_mb_s

@@ -1,6 +1,12 @@
 """Tests for Tape layout management."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.hardware import ObjectExtent, Tape, TapeId, TapeSpec
 
@@ -29,6 +35,89 @@ class TestObjectExtent:
         assert a.overlaps(b)
         assert b.overlaps(a)
         assert not a.overlaps(c)  # adjacent is not overlapping
+
+
+class TestObjectExtentContract:
+    """The value-class contract every extent user relies on: equality,
+    hashing, ``repr``, ``dataclasses.replace``, pickling, immutability and
+    the constructor's checks and messages."""
+
+    def test_equal_extents_are_equal_and_hash_equal(self):
+        a = ObjectExtent(7, 10.0, 5.0, part=1, parts=2, replica=1, replicas=3, needed=2)
+        b = ObjectExtent(7, 10.0, 5.0, 1, 2, 1, 3, 2)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != ObjectExtent(7, 10.0, 5.0, part=0, parts=2, replica=1, replicas=3, needed=2)
+        assert a != (7, 10.0, 5.0, 1, 2, 1, 3, 2)
+
+    def test_repr(self):
+        assert repr(ObjectExtent(3, 1.5, 2.0)) == (
+            "ObjectExtent(object_id=3, start_mb=1.5, size_mb=2.0, part=0, "
+            "parts=1, replica=0, replicas=1, needed=1)"
+        )
+
+    def test_dataclasses_replace(self):
+        a = ObjectExtent(3, 1.5, 2.0, replica=1, replicas=2)
+        moved = dataclasses.replace(a, start_mb=40.0)
+        assert moved == ObjectExtent(3, 40.0, 2.0, replica=1, replicas=2)
+        assert moved.end_mb == 42.0
+        with pytest.raises(ValueError, match="extent start must be >= 0"):
+            dataclasses.replace(a, start_mb=-1.0)
+
+    @pytest.mark.parametrize("clone", [
+        lambda e: pickle.loads(pickle.dumps(e, pickle.HIGHEST_PROTOCOL)),
+        lambda e: pickle.loads(pickle.dumps(e, 0)),
+        copy.copy,
+        copy.deepcopy,
+    ])
+    def test_round_trip(self, clone):
+        a = ObjectExtent(9, 0.1, 0.2, part=2, parts=3, replica=0, replicas=2)
+        b = clone(a)
+        assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+        assert b.end_mb == a.end_mb == 0.1 + 0.2
+
+    @pytest.mark.parametrize("name", [
+        "object_id", "start_mb", "size_mb", "part", "parts",
+        "replica", "replicas", "needed", "end_mb",
+    ])
+    def test_assignment_raises(self, name):
+        a = ObjectExtent(1, 0.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, 2)
+        assert a == ObjectExtent(1, 0.0, 1.0) and a.end_mb == 1.0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(start_mb=-1), "extent start must be >= 0, got -1"),
+        (dict(size_mb=0), "extent size must be positive, got 0"),
+        (dict(size_mb=-2.5), "extent size must be positive, got -2.5"),
+        (dict(parts=0), "parts must be >= 1, got 0"),
+        (dict(part=2, parts=2), "part 2 out of range for 2 parts"),
+        (dict(part=-1), "part -1 out of range for 1 parts"),
+        (dict(replicas=0), "replicas must be >= 1, got 0"),
+        (dict(replica=3, replicas=3), "replica 3 out of range for 3 replicas"),
+        (dict(replica=-1), "replica -1 out of range for 1 replicas"),
+        (dict(needed=0), "needed must be in [1, 1], got 0"),
+        (dict(needed=3, replicas=2), "needed must be in [1, 2], got 3"),
+        # Checks run in declaration order: the first broken rule reports.
+        (dict(start_mb=-1, size_mb=0, parts=0), "extent start must be >= 0, got -1"),
+        (dict(parts=0, replicas=0), "parts must be >= 1, got 0"),
+    ])
+    def test_constructor_errors(self, kwargs, message):
+        args = dict(object_id=1, start_mb=0.0, size_mb=1.0)
+        args.update(kwargs)
+        with pytest.raises(ValueError) as err:
+            ObjectExtent(**args)
+        assert str(err.value) == message
+
+    @given(
+        st.floats(min_value=0, max_value=1e12, allow_nan=False),
+        st.floats(min_value=1e-9, max_value=1e12, allow_nan=False),
+    )
+    def test_end_is_start_plus_size_bit_for_bit(self, start, size):
+        extent = ObjectExtent(1, start, size)
+        assert extent.end_mb == start + size
+        assert extent.end_mb.hex() == (start + size).hex()
 
 
 class TestTapeLayout:

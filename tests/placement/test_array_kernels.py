@@ -353,6 +353,135 @@ class TestZigzagAssign:
         assert [b.object_ids for b in bins] == [[0], [1]]
 
 
+def sort_window_zigzag_assign(object_ids, catalog, bins, ndrv=None):
+    """``zigzag_assign`` as it was before its window was indexed: the whole
+    batch sorted by workload on every call, then cut to ``ndrv`` tapes."""
+    if not object_ids:
+        return []
+    if ndrv is None:
+        ndrv = len(bins)
+    ndrv = max(1, min(ndrv, len(bins)))
+    window = sorted(bins, key=lambda b: b.workload)[:ndrv]
+    window.sort(key=lambda b: -b.workload)
+    sizes, probs = catalog.size_values, catalog.probability_values
+    loads = {o: probs[o] * sizes[o] for o in object_ids}
+    ordered = sorted(sorted(object_ids), key=loads.__getitem__)
+    rejected = []
+    i, flag = 0, 0
+    for object_id in ordered:
+        if flag == 0:
+            i += 1
+        else:
+            i -= 1
+        if i == ndrv:
+            flag = 1
+            i -= 1
+        if i == -1:
+            flag = 0
+            i += 1
+        target = window[i]
+        size = sizes[object_id]
+        if not target.fits(size):
+            for pool in (window, bins):
+                target = max(pool, key=lambda b: b.free_mb)
+                if target.fits(size):
+                    break
+            else:
+                rejected.append(object_id)
+                continue
+        target.add(object_id, size, loads[object_id])
+    return rejected
+
+
+def assert_zigzag_shadows(cluster, catalog, bins, ndrv):
+    """Run the indexed window and the sort reference on copies of ``bins``;
+    same rejections, same bins, same object order on every bin."""
+    ref_bins = copy.deepcopy(bins)
+    got = zigzag_assign(cluster, catalog, bins, ndrv)
+    assert got == sort_window_zigzag_assign(cluster, catalog, ref_bins, ndrv)
+    assert bins == ref_bins
+    return got
+
+
+class TestIndexedZigzagWindow:
+    """The ``ndrv`` least-loaded bins picked with ``heapq.nsmallest`` (``min``
+    for one bin), shadowed against the full sort it replaced."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_window_width_matches_sort(self, data):
+        n = data.draw(st.integers(1, 10))
+        sizes = data.draw(st.lists(st.sampled_from([10.0, 20.0, 35.0]), min_size=n, max_size=n))
+        probs = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.25]), min_size=n, max_size=n))
+        catalog = ObjectCatalog(sizes, probs)
+        # Few distinct workloads (all equal when one is drawn): ties decide.
+        loads = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=1, max_size=3))
+        num_bins = data.draw(st.integers(1, 12))
+        bins = [
+            TapeBin(
+                TapeId(0, j),
+                capacity_mb=data.draw(st.sampled_from([30.0, 60.0, 500.0])),
+                used_mb=data.draw(st.sampled_from([0.0, 15.0, 25.0])),
+                workload=data.draw(st.sampled_from(loads)),
+            )
+            for j in range(num_bins)
+        ]
+        clusters = data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True),
+                     min_size=1, max_size=4)
+        )
+        # Several clusters in a row, as Step 5 places a batch: each call
+        # sees the workloads the previous calls left.
+        for cluster in clusters:
+            ndrv = data.draw(st.integers(1, num_bins))
+            assert_zigzag_shadows(cluster, catalog, bins, ndrv)
+
+    @pytest.mark.parametrize("ndrv", [1, 2, 3, 4])
+    def test_equal_workloads_keep_bin_order(self, ndrv):
+        catalog = ObjectCatalog([5.0] * 6, [0.1] * 6)
+        bins = [TapeBin(TapeId(0, j), 100.0, workload=1.0) for j in range(4)]
+        assert assert_zigzag_shadows([0, 1, 2, 3, 4, 5], catalog, bins, ndrv) == []
+        # Ties keep bin order: the window is the first ndrv bins.
+        assert {b.tape_id.slot for b in bins if b.object_ids} <= set(range(ndrv))
+
+    def test_full_window_falls_back_to_the_whole_batch(self):
+        catalog = ObjectCatalog([40.0, 40.0], [0.5, 0.5])
+        # The two least-loaded bins are full; only the busy one has room.
+        bins = [
+            TapeBin(TapeId(0, 0), 50.0, used_mb=30.0, workload=0.0),
+            TapeBin(TapeId(0, 1), 50.0, used_mb=30.0, workload=0.0),
+            TapeBin(TapeId(0, 2), 200.0, workload=9.0),
+        ]
+        for ndrv in (1, 2):
+            shadow = copy.deepcopy(bins)
+            assert assert_zigzag_shadows([0, 1], catalog, shadow, ndrv) == []
+            assert shadow[2].object_ids == [0, 1]
+
+    def test_rejects_what_fits_nowhere(self):
+        catalog = ObjectCatalog([10.0, 90.0, 10.0], [0.2, 0.1, 0.3])
+        bins = [TapeBin(TapeId(0, j), 50.0, workload=float(j)) for j in range(3)]
+        assert assert_zigzag_shadows([0, 1, 2], catalog, bins, 1) == [1]
+        assert [b.object_ids for b in bins] == [[0, 2], [], []]
+
+    def test_whole_placement_shadows_every_call(self, monkeypatch):
+        import repro.placement.parallel_batch as parallel_batch
+        from repro.experiments import ExperimentSettings
+        from repro.placement import make_scheme
+        from repro.workload import generate_workload
+
+        widths = []
+
+        def shadowed(cluster, catalog, bins, ndrv=None):
+            widths.append(ndrv)
+            return assert_zigzag_shadows(cluster, catalog, bins, ndrv)
+
+        monkeypatch.setattr(parallel_batch, "zigzag_assign", shadowed)
+        settings_ = ExperimentSettings(scale="small", workload_seed=3)
+        workload = generate_workload(settings_.workload_params)
+        make_scheme("parallel_batch", m=4).place(workload, settings_.spec())
+        assert widths.count(1) > 0 and max(widths) > 1
+
+
 class TestClusterFinalize:
     @given(
         workloads(),

@@ -1,18 +1,24 @@
 """Integration-style tests of the three placement schemes end to end."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.hardware import LibrarySpec, SystemSpec, TapeSpec, TapeSystem
+from repro.hardware import LibrarySpec, ObjectExtent, SystemSpec, TapeId, TapeSpec, TapeSystem
 from repro.placement import (
     ClusterProbabilityPlacement,
     ObjectProbabilityPlacement,
     ParallelBatchPlacement,
     PlacementError,
+    PlacementResult,
+    StripedPlacement,
     available_schemes,
     make_scheme,
 )
-from repro.workload import generate_workload
+from repro.catalog import ObjectCatalog, Request, RequestSet
+from repro.redundancy import wrap_scheme
+from repro.workload import Workload, generate_workload
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +255,90 @@ class TestRegistry:
     def test_unknown_scheme_raises(self):
         with pytest.raises(KeyError):
             make_scheme("nope")
+
+
+def _written(system, index):
+    """Every tape's layout and object map, and the index's entries in order."""
+    tapes = [(t.id, t.extents, dict(t._by_object)) for t in system.all_tapes()]
+    return tapes, list(index._locations.items()), index.has_redundancy
+
+
+def _unvalidated(result):
+    """The same placement as a result ``validate`` has not seen."""
+    return dataclasses.replace(result)
+
+
+class TestValidatedApplyTo:
+    """``apply_to`` after ``validate`` writes and indexes in one pass; the
+    tapes and the index equal those of the checked path."""
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            *ALL_SCHEMES,
+            StripedPlacement(stripe_width=3, min_stripe_mb=100.0),
+            wrap_scheme(ParallelBatchPlacement(m=2), "r=2"),
+            wrap_scheme(ObjectProbabilityPlacement(), "k=2,n=3"),
+        ],
+        ids=["parallel_batch", "object_probability", "cluster_probability",
+             "striped", "replicated", "erasure"],
+    )
+    def test_one_pass_equals_checked_path(self, scheme, workload, spec):
+        result = scheme.place(workload, spec)
+        result.validate(workload.catalog, spec)
+        assert result._checked is not None
+        one_pass = TapeSystem(spec)
+        index = result.apply_to(one_pass)
+        checked = TapeSystem(spec)
+        reference = _unvalidated(result).apply_to(checked)
+        assert _written(one_pass, index) == _written(checked, reference)
+        for request in workload.requests:
+            assert index.group_by_tape(request.object_ids) == reference.group_by_tape(
+                request.object_ids
+            )
+
+    def test_layout_changed_after_validate_is_checked_again(self, workload, spec):
+        result = ParallelBatchPlacement(m=2).place(workload, spec)
+        result.validate(workload.catalog, spec)
+        tape_id, extents = next((t, e) for t, e in result.layouts.items() if e)
+        first = extents[0]
+        extents.append(ObjectExtent(first.object_id + 1, first.start_mb, first.size_mb))
+        with pytest.raises(ValueError, match="overlapping extents"):
+            result.apply_to(TapeSystem(spec))
+
+    def test_object_twice_on_a_tape_raises_on_both_paths(self, spec):
+        workload = Workload(ObjectCatalog([30.0, 10.0]), RequestSet([Request(0, (0, 1), 1.0)]))
+        tape = TapeId(0, 0)
+        layouts = {
+            tape: [
+                ObjectExtent(0, 0.0, 15.0, part=0, parts=2),
+                ObjectExtent(0, 15.0, 15.0, part=1, parts=2),
+                ObjectExtent(1, 30.0, 10.0),
+            ]
+        }
+        result = PlacementResult("twice", layouts, {})
+        # Exactly-once accounting holds (two parts of one object) ...
+        result.validate(workload.catalog, spec)
+        for candidate in (result, _unvalidated(result)):
+            with pytest.raises(ValueError, match="object 0 placed twice on L0.T0"):
+                candidate.apply_to(TapeSystem(spec))
+
+    def test_later_writes_leave_the_validated_layout_alone(self, workload, spec):
+        result = ParallelBatchPlacement(m=2).place(workload, spec)
+        result.validate(workload.catalog, spec)
+        system = TapeSystem(spec)
+        before = _written(system, result.apply_to(system))
+        tape = next(t for t in system.all_tapes() if len(t))
+        tape.append_object(10**6, 1.0)
+        assert _written(system, result.apply_to(system)) == before
+
+    def test_validated_for_another_spec_is_checked_again(self, workload, spec):
+        result = ParallelBatchPlacement(m=2).place(workload, spec)
+        result.validate(workload.catalog, spec)
+        small = dataclasses.replace(
+            spec, library=dataclasses.replace(
+                spec.library, tape=dataclasses.replace(spec.library.tape, capacity_mb=100.0)
+            )
+        )
+        with pytest.raises(ValueError, match="beyond tape capacity"):
+            result.apply_to(TapeSystem(small))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import ObjectExtent, TapeSpec
-from repro.sim import plan_retrieval, sweep_cost
+from repro.sim import locate_cost, plan_retrieval, sweep_cost
 
 
 @pytest.fixture
@@ -73,3 +73,59 @@ class TestPlanRetrieval:
         up = sweep_cost(extents, head, spec, ascending=True)
         down = sweep_cost(extents, head, spec, ascending=False)
         assert cost == pytest.approx(min(up, down))
+
+
+def two_sort_plan(extents, head, spec):
+    """The former planner: each sweep sorted on its own."""
+    if not extents:
+        return [], 0.0
+    asc = sorted(extents, key=lambda e: e.start_mb)
+    up = locate_cost(asc, head, spec)
+    desc = sorted(extents, key=lambda e: e.start_mb, reverse=True)
+    down = locate_cost(desc, head, spec)
+    return (asc, up) if up <= down else (desc, down)
+
+
+def two_sort_sweep_cost(extents, head, spec, ascending):
+    if not extents:
+        return 0.0
+    ordered = sorted(extents, key=lambda e: e.start_mb, reverse=not ascending)
+    return locate_cost(ordered, head, spec)
+
+
+@st.composite
+def tape_layouts(draw):
+    """Non-overlapping extents of one tape (positive sizes, optional gaps),
+    handed over either sorted by start or in a drawn order."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    extents, position = [], 0.0
+    for object_id in range(n):
+        position += draw(st.sampled_from([0.0, 0.5, 3.0, 41.25]))
+        size = draw(st.floats(min_value=0.01, max_value=80, allow_nan=False))
+        extents.append(ObjectExtent(object_id, position, size))
+        position = extents[-1].end_mb
+    if draw(st.booleans()):
+        extents = draw(st.permutations(extents))
+    return extents
+
+
+class TestSingleSortParity:
+    """One ascending sort, the descending sweep as its reverse: plans and
+    costs equal the two-sort planner's for sorted and unsorted input."""
+
+    @given(
+        extents=tape_layouts(),
+        head=st.floats(min_value=0, max_value=1200, allow_nan=False),
+        startup=st.sampled_from([0.0, 2.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_plan_and_costs_equal_two_sort_version(self, extents, head, startup):
+        spec = TapeSpec(capacity_mb=2000, max_rewind_s=10, locate_startup_s=startup)
+        order, cost = plan_retrieval(extents, head, spec)
+        ref_order, ref_cost = two_sort_plan(extents, head, spec)
+        assert cost.hex() == ref_cost.hex()
+        assert len(order) == len(ref_order)
+        assert all(a is b for a, b in zip(order, ref_order))
+        for ascending in (True, False):
+            got = sweep_cost(extents, head, spec, ascending)
+            assert got.hex() == two_sort_sweep_cost(extents, head, spec, ascending).hex()
