@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..hardware.system import TapeSystem
@@ -84,64 +84,30 @@ class LocationIndex:
 
     @classmethod
     def from_system(cls, system: TapeSystem) -> "LocationIndex":
-        """Build the index by scanning tapes that are already written.
+        """Build the index by scanning all tape layouts.
 
-        A session does not build its index here: ``SimulationSession``
-        calls ``PlacementResult.apply_to``, which writes a validated
-        placement's tapes and indexes them in the same pass
-        (:meth:`from_layouts`), eagerly, before anything is served.  Both
-        walk the tapes in system order and index them alike: the common
-        first sighting of an object inserts directly; only repeat sightings
-        (striped fragments, redundancy members, or duplicates, which must
-        still raise) go through :meth:`add`'s full validation.
+        ``PlacementResult.apply_to`` calls this right after it writes the
+        tapes, so a session's index is built eagerly, before anything is
+        served.  Entries use the system's own tape ids, the canonical
+        objects the scheduler's lookups compare by identity.  The common
+        first sighting of a whole object inserts directly; only repeat
+        sightings (striped fragments, redundancy members, or duplicates,
+        which must still raise) go through :meth:`add`'s full validation.
         """
         index = cls()
+        locations = index._locations
+        add = index.add
         for tape in system.all_tapes():
-            index._index_tape(tape.id, tape)
+            tape_id = tape.id
+            for extent in tape:
+                object_id = extent.object_id
+                if object_id not in locations:
+                    locations[object_id] = [(tape_id, extent)]
+                    if extent.replicas > 1:
+                        index._redundant = True
+                else:
+                    add(object_id, tape_id, extent)
         return index
-
-    @classmethod
-    def from_layouts(
-        cls,
-        system: TapeSystem,
-        layouts: Iterable[Tuple[TapeId, Sequence[ObjectExtent]]],
-    ) -> "LocationIndex":
-        """Write checked layouts onto ``system``'s tapes and index them.
-
-        ``PlacementResult.apply_to`` builds a validated placement's index
-        here, in one pass: each ``(tape id, extents)`` layout is sorted by
-        start and has passed ``PlacementResult.validate``'s overlap and
-        capacity checks, so the tape takes it as it is
-        (:meth:`~repro.hardware.tape.Tape.install_layout`) and the loop that
-        indexes its extents also builds the tape's object map.  Tapes are
-        walked in system order, so the index equals :meth:`from_system`'s
-        over the same layouts, and a duplicate raises as there.
-        """
-        index = cls()
-        for tape_id, extents in sorted(layouts, key=itemgetter(0)):
-            by_object = index._index_tape(tape_id, extents)
-            system.tape(tape_id).install_layout(extents, by_object)
-        return index
-
-    def _index_tape(
-        self, tape_id: TapeId, extents: Iterable[ObjectExtent]
-    ) -> Dict[int, ObjectExtent]:
-        """Index one tape's extents; returns the tape's object-id map and
-        raises for an object placed twice on it, as ``Tape.write_layout``."""
-        locations = self._locations
-        by_object: Dict[int, ObjectExtent] = {}
-        for extent in extents:
-            object_id = extent.object_id
-            if object_id in by_object:
-                raise ValueError(f"object {object_id} placed twice on {tape_id}")
-            by_object[object_id] = extent
-            if object_id not in locations:
-                locations[object_id] = [(tape_id, extent)]
-                if extent.replicas > 1:
-                    self._redundant = True
-            else:
-                self.add(object_id, tape_id, extent)
-        return by_object
 
     def add(self, object_id: int, tape_id: TapeId, extent: ObjectExtent) -> None:
         self._plans.clear()

@@ -199,20 +199,6 @@ class Tape:
         self._extents = extents
         self._by_object = by_object
 
-    def install_layout(
-        self, extents: Iterable[ObjectExtent], by_object: Dict[int, ObjectExtent]
-    ) -> None:
-        """Replace the layout with one that was checked elsewhere.
-
-        ``extents`` must be sorted by start, non-overlapping and within
-        capacity, and ``by_object`` maps each of their object ids to its
-        extent: ``LocationIndex.from_layouts`` passes layouts that
-        ``PlacementResult.validate`` checked.  :meth:`write_layout` is the
-        checked entry for every other caller.
-        """
-        self._extents = list(extents)
-        self._by_object = by_object
-
     def append_object(self, object_id: int, size_mb: float) -> ObjectExtent:
         """Append an object after the current end of data."""
         start = self.used_mb

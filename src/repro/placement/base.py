@@ -34,11 +34,9 @@ class ExtentTable:
 
     def __init__(self, layouts: Mapping[TapeId, List[ObjectExtent]]) -> None:
         self.tapes = list(layouts)
-        #: Each tape's extents sorted by start, in ``tapes`` order.
-        by_start = attrgetter("start_mb")
-        self.per_tape = [sorted(extents, key=by_start) for extents in layouts.values()]
-        self.extents = [extent for extents in self.per_tape for extent in extents]
-        counts = np.array([len(extents) for extents in self.per_tape], dtype=np.int64)
+        per_tape = [sorted(extents, key=attrgetter("start_mb")) for extents in layouts.values()]
+        self.extents = [extent for extents in per_tape for extent in extents]
+        counts = np.array([len(extents) for extents in per_tape], dtype=np.int64)
         self.tape_index = np.repeat(np.arange(len(counts)), counts)
 
     def column(self, name: str, dtype=np.int64) -> np.ndarray:
@@ -70,11 +68,6 @@ class PlacementResult:
     tape_priority: Dict[TapeId, float] = field(default_factory=dict)
     #: Scheme-specific extras (batch maps, cluster stats, …) for diagnostics.
     metadata: dict = field(default_factory=dict)
-
-    #: Set by a passing :meth:`validate`: the spec and a copy of the
-    #: layouts it checked, and the ``(tape id, extents sorted by start)``
-    #: pairs that ``apply_to`` writes while both still match.
-    _checked = None
 
     # -- derived ----------------------------------------------------------
     def objects_placed(self) -> int:
@@ -121,15 +114,9 @@ class PlacementResult:
         * initial mounts reference existing tapes/drives, one tape per drive;
         * pinned tapes are all initially mounted.
         """
-        self._checked = None
         table = self._check_geometry(spec)
         self._check_objects(table, catalog, spec)
         self._check_mounts(spec)
-        self._checked = (
-            spec,
-            {tape_id: list(extents) for tape_id, extents in self.layouts.items()},
-            list(zip(table.tapes, table.per_tape)),
-        )
 
     def _check_geometry(self, spec: SystemSpec) -> ExtentTable:
         """Per-tape capacity/overlap checks; returns the extents as columns."""
@@ -207,25 +194,16 @@ class PlacementResult:
     def apply_to(self, system: TapeSystem) -> LocationIndex:
         """Write layouts into ``system``, mount startup tapes, pin drives.
 
-        Returns the location index the simulator will query.  Layouts that
-        :meth:`validate` passed for this system's spec, unchanged since, are
-        written and indexed in one pass over each tape's extents, without
-        sorting or checking their geometry again; any others go through
-        ``Tape.write_layout``.
+        Returns the location index the simulator will query.
         """
         system.clear_layouts()
-        checked = self._checked
-        if checked is not None and checked[:2] == (system.spec, self.layouts):
-            index = LocationIndex.from_layouts(system, checked[2])
-        else:
-            for tape_id, extents in self.layouts.items():
-                system.tape(tape_id).write_layout(extents)
-            index = LocationIndex.from_system(system)
+        for tape_id, extents in self.layouts.items():
+            system.tape(tape_id).write_layout(extents)
         for drive_id, tape_id in self.initial_mounts.items():
             drive = system.library(drive_id.library).drive(drive_id.index)
             drive.mount(system.tape(tape_id))
             drive.pinned = tape_id in self.pinned
-        return index
+        return LocationIndex.from_system(system)
 
 
 class PlacementScheme(abc.ABC):

@@ -104,22 +104,16 @@ def zigzag_assign(
         ndrv = len(bins)
     ndrv = max(1, min(ndrv, len(bins)))
 
-    # Window: the ndrv least-loaded tapes, ties in bin order (``min`` and
-    # ``nsmallest`` both equal ``sorted(...)[:ndrv]``, without sorting the
-    # batch); within it, Figure-3's decreasing workload order.
-    if ndrv == 1:
-        window = [min(bins, key=_WORKLOAD)]
-    else:
-        window = heapq.nsmallest(ndrv, bins, key=_WORKLOAD)
-        window.sort(key=lambda b: -b.workload)
+    # Window: the ndrv least-loaded tapes, ties in bin order (``nsmallest``
+    # equals ``sorted(...)[:ndrv]`` without sorting the batch); within it,
+    # Figure-3's decreasing workload order.
+    window = heapq.nsmallest(ndrv, bins, key=_WORKLOAD)
+    window.sort(key=lambda b: -b.workload)
 
     # "sort objects in C into increasing order based on load", ties by id.
     sizes, probs = catalog.size_values, catalog.probability_values
     loads = {o: probs[o] * sizes[o] for o in object_ids}
-    if len(object_ids) == 1:
-        ordered = object_ids
-    else:
-        ordered = sorted(sorted(object_ids), key=loads.__getitem__)
+    ordered = sorted(sorted(object_ids), key=loads.__getitem__)
 
     rejected: List[int] = []
     i, flag = 0, 0
